@@ -61,6 +61,29 @@ def squarefree_decompose(n: int, bound: int | None = None) -> tuple[int, int]:
     return _decompose(n, TRIAL_DIVISION_BOUND if bound is None else bound)
 
 
+def _mul_into(
+    acc: dict[int, Fraction], tu: Mapping[int, Fraction], tv: Mapping[int, Fraction]
+) -> None:
+    """Add the product of two canonical term maps into acc, in place; acc
+    stays canonical (squarefree keys, nonzero values)."""
+    for d1, q1 in tu.items():
+        for d2, q2 in tv.items():
+            # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2);
+            # the cofactors are coprime and squarefree, so no factoring needed
+            g = math.gcd(d1, d2)
+            rad = (d1 // g) * (d2 // g)
+            c = q1 * q2 * g
+            prev = acc.get(rad)
+            if prev is None:
+                acc[rad] = c
+            else:
+                c = prev + c
+                if c:
+                    acc[rad] = c
+                else:
+                    del acc[rad]
+
+
 def _as_fraction(q: Scalar) -> Fraction:
     if isinstance(q, Fraction):
         return q
@@ -164,22 +187,7 @@ class RadExt(object):
         if not self.terms or not other.terms:
             return ZERO
         out: dict[int, Fraction] = {}
-        for d1, q1 in self.terms.items():
-            for d2, q2 in other.terms.items():
-                # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2);
-                # the cofactors are coprime and squarefree, so no factoring needed
-                g = math.gcd(d1, d2)
-                rad = (d1 // g) * (d2 // g)
-                c = q1 * q2 * g
-                prev = out.get(rad)
-                if prev is None:
-                    out[rad] = c
-                else:
-                    c = prev + c
-                    if c:
-                        out[rad] = c
-                    else:
-                        del out[rad]
+        _mul_into(out, self.terms, other.terms)
         return RadExt._raw(out)
 
     __rmul__ = __mul__
@@ -249,7 +257,8 @@ class RadExt(object):
         last_rad = 0
         for item in triples:
             item = list(item)
-            if len(item) != 3 or not all(isinstance(x, int) for x in item):
+            # type(), not isinstance: JSON true must not pass as the integer 1
+            if len(item) != 3 or not all(type(x) is int for x in item):
                 raise ValueError(f"expected [num, den, radicand] integer triple, got {item!r}")
             num, den, rad = item
             if den <= 0:

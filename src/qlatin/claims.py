@@ -20,7 +20,6 @@ from .algebraic import sqrt_rational
 from .generators import (
     J_MATRICES,
     X_MATRICES,
-    block_elements,
     columns_as_vectors,
     make_H,
     make_Hprime,
@@ -29,10 +28,7 @@ from .generators import (
     make_W0,
     make_Wk,
     make_alpha_basis,
-    make_block_A,
-    make_block_B,
-    make_block_C,
-    make_block_D,
+    make_block,
     mat_is_orthonormal,
     product_construct,
     wk_row_matrices,
@@ -100,16 +96,19 @@ def _claim_alpha_basis(cfg: ClaimConfig):
     return True, "orthonormal quadruple; first vector is |00>"
 
 
+def _block_set(family: str, a: Fraction) -> frozenset[QVector]:
+    return canonical_set(v for row in make_block(family, a) for v in row)
+
+
 def _claim_rotation_blocks(cfg: ClaimConfig):
     vals = _witness_values(cfg.witness_bound)
-    makers = (make_block_A, make_block_B, make_block_C, make_block_D)
-    for maker in makers:
+    for fam in "ABCD":
         for a in vals:
-            (v0, v1), _ = maker(a)
+            (v0, v1), _ = make_block(fam, a)
             if inner_product(v0, v0) != 1 or inner_product(v1, v1) != 1:
-                return False, f"{maker.__name__}({a}): non-unit cell"
+                return False, f"{fam}({a}): non-unit cell"
             if not inner_product(v0, v1).is_zero:
-                return False, f"{maker.__name__}({a}): row not orthogonal"
+                return False, f"{fam}({a}): row not orthogonal"
     return True, f"4 families x {len(vals)} parameters, all rows orthonormal"
 
 
@@ -117,16 +116,15 @@ def _claim_family_separation(cfg: ClaimConfig):
     # a and -1/a give rotations a right angle apart, hence the same
     # unordered pair of lines; every other parameter pair is disjoint
     vals = _witness_values(cfg.witness_bound)
-    makers = (make_block_A, make_block_B, make_block_C, make_block_D)
-    for maker in makers:
-        sets = {a: block_elements(maker(a)) for a in vals}
+    for fam in "ABCD":
+        sets = {a: _block_set(fam, a) for a in vals}
         for i, a in enumerate(vals):
             for x in vals[i + 1 :]:
                 if a * x == -1:
                     if sets[a] != sets[x]:
-                        return False, f"{maker.__name__}: {a} and {x} should coincide"
+                        return False, f"{fam}: {a} and {x} should coincide"
                 elif sets[a] & sets[x]:
-                    return False, f"{maker.__name__}: parameters {a} and {x} overlap"
+                    return False, f"{fam}: parameters {a} and {x} overlap"
     return True, (
         f"{len(vals)} parameter values per family: disjoint cells for distinct "
         "parameters, except x = -1/a which yields the identical block"
@@ -135,9 +133,9 @@ def _claim_family_separation(cfg: ClaimConfig):
 
 def _claim_c_vs_a_b(cfg: ClaimConfig):
     vals = _witness_values(cfg.witness_bound)
-    a_sets = {x: block_elements(make_block_A(x)) for x in vals}
-    b_sets = {x: block_elements(make_block_B(x)) for x in vals}
-    c_sets = {x: block_elements(make_block_C(x)) for x in vals}
+    a_sets = {x: _block_set("A", x) for x in vals}
+    b_sets = {x: _block_set("B", x) for x in vals}
+    c_sets = {x: _block_set("C", x) for x in vals}
     only_00 = frozenset({ket("00")})
     for a in vals:
         for x in vals:
@@ -154,9 +152,9 @@ def _claim_c_vs_a_b(cfg: ClaimConfig):
 
 def _claim_d_vs_a_b(cfg: ClaimConfig):
     vals = _witness_values(cfg.witness_bound)
-    a_sets = {x: block_elements(make_block_A(x)) for x in vals}
-    b_sets = {x: block_elements(make_block_B(x)) for x in vals}
-    d_sets = {x: block_elements(make_block_D(x)) for x in vals}
+    a_sets = {x: _block_set("A", x) for x in vals}
+    b_sets = {x: _block_set("B", x) for x in vals}
+    d_sets = {x: _block_set("D", x) for x in vals}
     half = sqrt_rational(F(1, 2))
     shared = canonicalize(QVector([0, 0, half, -half]))
     # (|10>-|11>)/sqrt(2) is the one line common to both planes; it sits in
@@ -188,9 +186,9 @@ def _claim_h_new_counts(cfg: ClaimConfig):
 def _claim_h5_split(cfg: ClaimConfig):
     h0 = distinct_elements(make_H(0))
     got = (
-        len(block_elements(make_block_C(F(0))) - h0),
-        len(block_elements(make_block_C(F(1))) - h0),
-        len(block_elements(make_block_D(F(0))) - h0),
+        len(_block_set("C", F(0)) - h0),
+        len(_block_set("C", F(1)) - h0),
+        len(_block_set("D", F(0)) - h0),
     )
     if got != (1, 2, 2):
         return False, f"per-block new counts {got}, expected (1, 2, 2)"

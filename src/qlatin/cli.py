@@ -57,7 +57,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _read_grid(args.input)
-    report = verify_qls(g, jobs=args.jobs)
+    report = verify_qls(g)
     if not report.ok:
         print(f"FAIL: {report.message}", file=sys.stderr)
         return 1
@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check the QLS axioms on a grid JSON file")
     p.add_argument("input", help='grid JSON path, or "-" for stdin')
-    p.add_argument("--jobs", type=int, default=1, help="parallel line checks")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cardinality", help="count phase classes of a grid JSON file")

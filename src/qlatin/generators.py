@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence, Union
+from functools import lru_cache, partial
+from typing import Callable, Container, NamedTuple, Sequence, Union
 
 from .algebraic import RadExt, sqrt_rational
 from .qls_core import QLSGrid, RowQLR, verify_row_qlr
@@ -129,40 +129,26 @@ def _rotation_block(e0: QVector, e1: QVector, a: Fraction) -> Block:
     return ((v0, v1), (v1, v0))
 
 
-@lru_cache(maxsize=None)
-def make_block_A(a: Fraction) -> Block:
-    return _rotation_block(ket("00"), ket("01"), F(a))
-
-
-@lru_cache(maxsize=None)
-def make_block_B(a: Fraction) -> Block:
-    return _rotation_block(ket("10"), ket("11"), F(a))
-
-
 def make_alpha_basis() -> tuple[QVector, QVector, QVector, QVector]:
     """The rotated orthonormal basis (basis . J1); its first vector is |00>."""
     return columns_as_vectors(J1)
 
 
-@lru_cache(maxsize=None)
-def make_block_C(a: Fraction) -> Block:
-    a1, a2, _, _ = make_alpha_basis()
-    return _rotation_block(a1, a2, F(a))
+# the plane (e0, e1) of each rotation-block family inside H_4
+_PLANES = {
+    "A": (ket("00"), ket("01")),
+    "B": (ket("10"), ket("11")),
+    "C": make_alpha_basis()[:2],
+    "D": make_alpha_basis()[2:],
+}
 
 
 @lru_cache(maxsize=None)
-def make_block_D(a: Fraction) -> Block:
-    _, _, a3, a4 = make_alpha_basis()
-    return _rotation_block(a3, a4, F(a))
+def make_block(family: str, a: Fraction) -> Block:
+    """The rotation sub-square with tangent a in the plane of family A, B, C or D."""
+    e0, e1 = _PLANES[family]
+    return _rotation_block(e0, e1, F(a))
 
-
-def block_elements(block: Block) -> frozenset[QVector]:
-    from .vectors import canonicalize
-
-    return frozenset(canonicalize(v) for row in block for v in row)
-
-
-_BLOCK_MAKERS = {"A": make_block_A, "B": make_block_B, "C": make_block_C, "D": make_block_D}
 
 # quadrant layout (top-left, top-right, bottom-left, bottom-right) per index
 _H_TABLE = {
@@ -186,7 +172,7 @@ _HPRIME_TABLE = {
 
 
 def _assemble_quadrants(layout, provenance: str) -> QLSGrid:
-    blocks = [_BLOCK_MAKERS[fam](F(a)) for fam, a in layout]
+    blocks = [make_block(fam, F(a)) for fam, a in layout]
     cells = [[None] * 4 for _ in range(4)]
     for q, block in enumerate(blocks):
         bi, bj = divmod(q, 2)
@@ -197,31 +183,26 @@ def _assemble_quadrants(layout, provenance: str) -> QLSGrid:
 
 
 def make_H(ell: int) -> QLSGrid:
-    if ell not in _H_TABLE:
-        raise ValueError(f"index {ell} out of range; expected 0..8")
+    _check_index("H", ell)
     return _assemble_quadrants(_H_TABLE[ell], f"H({ell})")
 
 
 def make_Hprime(ell: int) -> QLSGrid:
-    if ell not in _HPRIME_TABLE:
-        raise ValueError(f"index {ell} out of range; expected one of 2, 4, 6, 8")
+    _check_index("Hprime", ell)
     return _assemble_quadrants(_HPRIME_TABLE[ell], f"Hprime({ell})")
 
 
-def _v_row(a: Fraction) -> tuple[QVector, QVector]:
-    norm = sqrt_rational(F(1) / (1 + a * a))
-    e0, e1 = ket("0"), ket("1")
-    return (
-        vec_scale(vec_add(e0, vec_scale(e1, a)), norm),
-        vec_scale(vec_add(vec_scale(e0, -a), e1), norm),
-    )
+def _coordinate_block(family: str, a: Fraction) -> QLSGrid:
+    """A rotation sub-square written in its own plane's coordinates
+    (e0, e1) = (|0>, |1>), which makes it a standalone order-2 grid."""
+    return QLSGrid(_rotation_block(ket("0"), ket("1"), a), provenance=f"{family}({a})")
 
 
 def make_V(a, b) -> RowQLR:
     a, b = F(a), F(b)
     if a == b:
         raise ValueError("the two row parameters must differ, otherwise the rows repeat")
-    return RowQLR((_v_row(a), _v_row(b)))
+    return RowQLR([_rotation_block(ket("0"), ket("1"), x)[0] for x in (a, b)])
 
 
 def product_construct(u: RowQLR, v: RowQLR, provenance: str = "") -> QLSGrid:
@@ -293,8 +274,7 @@ def make_W0() -> QLSGrid:
 
 def wk_row_matrices(k: int) -> tuple[Matrix, Matrix, Matrix, Matrix]:
     """X1 . Jk . X1^T . Xi for i = 1..4; X1 is orthonormal so X1^T inverts it."""
-    if k not in (1, 2, 3, 4):
-        raise ValueError(f"index {k} out of range; expected 1..4")
+    _check_index("Wk", k)
     left = mat_mul(mat_mul(X1, J_MATRICES[k - 1]), mat_transpose(X1))
     return tuple(mat_mul(left, xi) for xi in X_MATRICES)
 
@@ -319,7 +299,28 @@ class GeneratorId:
         return self.canonical()
 
 
-_PARAM_COUNTS = {"A": 1, "B": 1, "C": 1, "D": 1, "H": 1, "Hprime": 1, "W": 2, "W0": 0, "Wk": 1}
+class _Generator(NamedTuple):
+    arity: int
+    indices: Container[int] | None  # valid integer indices, or None for rationals
+    build: Callable[..., QLSGrid]
+
+
+_GENERATORS = {
+    **{fam: _Generator(1, None, partial(_coordinate_block, fam)) for fam in _PLANES},
+    "H": _Generator(1, _H_TABLE.keys(), make_H),
+    "Hprime": _Generator(1, _HPRIME_TABLE.keys(), make_Hprime),
+    "W": _Generator(2, None, make_W),
+    "W0": _Generator(0, None, make_W0),
+    "Wk": _Generator(1, range(1, len(J_MATRICES) + 1), make_Wk),
+}
+
+
+def _check_index(tag: str, idx) -> None:
+    valid = _GENERATORS[tag].indices
+    if idx not in valid:
+        raise ValueError(
+            f"{tag} index {idx} out of range; expected one of {', '.join(map(str, valid))}"
+        )
 
 
 def parse_generator_id(text: str) -> GeneratorId:
@@ -335,37 +336,16 @@ def parse_generator_id(text: str) -> GeneratorId:
             raise ValueError(f"bad parameter in generator name {text!r}: {exc}") from None
     else:
         tag, params = s, ()
-    if tag not in _PARAM_COUNTS:
-        raise ValueError(
-            f"unknown generator {tag!r}; expected one of {sorted(_PARAM_COUNTS)}"
-        )
-    if len(params) != _PARAM_COUNTS[tag]:
-        raise ValueError(
-            f"generator {tag} takes {_PARAM_COUNTS[tag]} parameter(s), got {len(params)}"
-        )
-    gid = GeneratorId(tag, params)
-    _validate_generator_id(gid)
-    return gid
-
-
-def _validate_generator_id(gid: GeneratorId) -> None:
-    if gid.tag in ("H", "Hprime", "Wk"):
-        p = gid.params[0]
-        if p.denominator != 1:
-            raise ValueError(f"{gid.tag} index must be an integer, got {p}")
-        idx = int(p)
-        valid = {"H": range(9), "Hprime": (2, 4, 6, 8), "Wk": range(1, 5)}[gid.tag]
-        if idx not in valid:
-            raise ValueError(f"{gid.tag} index {idx} out of range")
-    elif gid.tag == "W" and gid.params[0] == gid.params[1]:
+    spec = _GENERATORS.get(tag)
+    if spec is None:
+        raise ValueError(f"unknown generator {tag!r}; expected one of {sorted(_GENERATORS)}")
+    if len(params) != spec.arity:
+        raise ValueError(f"generator {tag} takes {spec.arity} parameter(s), got {len(params)}")
+    if spec.indices is not None:
+        _check_index(tag, params[0])
+    elif tag == "W" and params[0] == params[1]:
         raise ValueError("W parameters must differ")
-
-
-def _rotation_coordinate_grid(a: Fraction, provenance: str) -> QLSGrid:
-    """The 2x2 rotation sub-square written in its own subspace coordinates,
-    which makes it a standalone order-2 grid."""
-    v0, v1 = _v_row(a)
-    return QLSGrid(((v0, v1), (v1, v0)), provenance=provenance)
+    return GeneratorId(tag, params)
 
 
 _REALIZE_CACHE: dict[str, QLSGrid] = {}
@@ -379,17 +359,7 @@ def realize_generator(gid: GeneratorId | str) -> QLSGrid:
     key = gid.canonical()
     got = _REALIZE_CACHE.get(key)
     if got is None:
-        if gid.tag in ("A", "B", "C", "D"):
-            got = _rotation_coordinate_grid(gid.params[0], key)
-        elif gid.tag == "H":
-            got = make_H(int(gid.params[0]))
-        elif gid.tag == "Hprime":
-            got = make_Hprime(int(gid.params[0]))
-        elif gid.tag == "W":
-            got = make_W(*gid.params)
-        elif gid.tag == "W0":
-            got = make_W0()
-        else:
-            got = make_Wk(int(gid.params[0]))
-        _REALIZE_CACHE[key] = got
+        spec = _GENERATORS[gid.tag]
+        args = gid.params if spec.indices is None else map(int, gid.params)
+        got = _REALIZE_CACHE[key] = spec.build(*args)
     return got

@@ -11,7 +11,6 @@ kept around as an independent cross-check.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -105,21 +104,22 @@ class RowQLR(object):
         return f"RowQLR({self.rows}x{self.cols})"
 
 
-def _check_line(cells: Sequence[QVector], kind: str, index: int) -> VerificationReport | None:
-    n = len(cells)
-    for p in range(n):
-        for q in range(p + 1, n):
-            if not inner_product(cells[p], cells[q]).is_zero:
-                return VerificationReport(
-                    ok=False,
-                    message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
-                    location=(kind, index, p, q),
-                )
+def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
+    for index, cells in enumerate(lines):
+        n = len(cells)
+        for p in range(n):
+            for q in range(p + 1, n):
+                if not inner_product(cells[p], cells[q]).is_zero:
+                    return VerificationReport(
+                        ok=False,
+                        message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
+                        location=(kind, index, p, q),
+                    )
     return None
 
 
-def _check_units(g: QLSGrid) -> VerificationReport | None:
-    for r, row in enumerate(g.cells):
+def _check_units(rows: Sequence[Sequence[QVector]]) -> VerificationReport | None:
+    for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if inner_product(v, v) != ONE:
                 return VerificationReport(
@@ -130,39 +130,25 @@ def _check_units(g: QLSGrid) -> VerificationReport | None:
     return None
 
 
-def verify_qls(g: QLSGrid, jobs: int = 1) -> VerificationReport:
+def verify_qls(g: QLSGrid) -> VerificationReport:
     """Check every unit and orthogonality equation exactly; cached per grid."""
     if g._verify_report is not None:
         return g._verify_report
-    bad = _check_units(g)
-    if bad is None:
-        n = g.order
-        tasks = [(g.cells[r], "row", r) for r in range(n)]
-        tasks += [(tuple(g.cells[r][c] for r in range(n)), "col", c) for c in range(n)]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(lambda t: _check_line(*t), tasks))
-        else:
-            results = [_check_line(*t) for t in tasks]
-        bad = next((x for x in results if x is not None), None)
-    report = bad if bad is not None else VerificationReport(ok=True)
+    report = (
+        _check_units(g.cells)
+        or _check_lines("row", g.cells)
+        or _check_lines("col", zip(*g.cells))
+        or VerificationReport(ok=True)
+    )
     g._verify_report = report
     return report
 
 
 def verify_row_qlr(r: RowQLR) -> VerificationReport:
     """Rows must be orthonormal; duplicate rows pass but are flagged."""
-    for i, row in enumerate(r.cells):
-        for j, v in enumerate(row):
-            if inner_product(v, v) != ONE:
-                return VerificationReport(
-                    ok=False,
-                    message=f"cell ({i},{j}) is not a unit vector",
-                    location=("unit", i, j),
-                )
-        bad = _check_line(row, "row", i)
-        if bad is not None:
-            return bad
+    bad = _check_units(r.cells) or _check_lines("row", r.cells)
+    if bad is not None:
+        return bad
     dups = []
     for i in range(r.rows):
         for j in range(i + 1, r.rows):
@@ -238,7 +224,7 @@ def grid_from_json_dict(obj: dict) -> QLSGrid:
             "grid object must have exactly the keys 'order', 'provenance', 'cells'"
         )
     order, prov, cells = obj["order"], obj["provenance"], obj["cells"]
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:  # type(): JSON true is an int subclass
         raise ValueError(f"bad grid order: {order!r}")
     if not isinstance(prov, str):
         raise ValueError("provenance must be a string")
@@ -260,4 +246,8 @@ def grid_to_json(g: QLSGrid, pretty: bool = False) -> str:
 
 
 def grid_from_json(text: str) -> QLSGrid:
-    return grid_from_json_dict(json.loads(text))
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("grid JSON is nested too deeply") from None
+    return grid_from_json_dict(obj)

@@ -8,10 +8,9 @@ nonzero coordinate is positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Union
 
-from .algebraic import ONE, ZERO, RadExt
+from .algebraic import ONE, ZERO, RadExt, _mul_into
 
 Coefficient = Union[RadExt, Fraction, int]
 
@@ -77,22 +76,8 @@ def inner_product(u: QVector, v: QVector) -> RadExt:
         if not tu:
             continue
         tv = ve.terms
-        if not tv:
-            continue
-        for d1, q1 in tu.items():
-            for d2, q2 in tv.items():
-                g = gcd(d1, d2)
-                rad = (d1 // g) * (d2 // g)
-                c = q1 * q2 * g
-                prev = acc.get(rad)
-                if prev is None:
-                    acc[rad] = c
-                else:
-                    c = prev + c
-                    if c:
-                        acc[rad] = c
-                    else:
-                        del acc[rad]
+        if tv:
+            _mul_into(acc, tu, tv)
     return RadExt._raw(acc)
 
 
@@ -186,7 +171,7 @@ def vector_from_json_dict(obj: dict) -> QVector:
     if not isinstance(obj, dict) or set(obj) != {"dim", "entries"}:
         raise ValueError("vector object must have exactly the keys 'dim' and 'entries'")
     dim, entries = obj["dim"], obj["entries"]
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # type(): JSON true is an int subclass
         raise ValueError(f"bad vector dimension: {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError("vector entry count must equal its dimension")

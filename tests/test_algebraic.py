@@ -221,3 +221,5 @@ class TestTriples:
             RadExt.from_triples([[1, 1, 3], [1, 1, 2]])  # out of order
         with pytest.raises(ValueError):
             RadExt.from_triples([[1, 1, 2], [1, 1, 2]])  # duplicate radicand
+        with pytest.raises(ValueError):
+            RadExt.from_triples([[True, 1, 1]])  # JSON true is not the integer 1

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from qlatin.cli import main
 from qlatin.qls_core import grid_from_json
 
@@ -118,12 +120,25 @@ class TestVerifyFailures:
         code, _, err = run_cli(capsys, "verify", "/nonexistent/grid.json")
         assert code == 2
 
-    def test_verify_jobs_flag(self, capsys, tmp_path):
-        _, out, _ = run_cli(capsys, "gen", "W(7,8)")
-        path = tmp_path / "g.json"
-        path.write_text(out)
-        code, out, _ = run_cli(capsys, "verify", str(path), "--jobs", "4")
-        assert code == 0 and out.startswith("OK")
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # JSON true must not pass as the integer 1: in order, dim, a triple, all three
+            '{"order":true,"provenance":"","cells":[[{"dim":1,"entries":[[[1,1,1]]]}]]}',
+            '{"order":1,"provenance":"","cells":[[{"dim":true,"entries":[[[1,1,1]]]}]]}',
+            '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[[[true,1,1]]]}]]}',
+            '{"order":true,"provenance":"","cells":[[{"dim":true,"entries":[[[true,1,1]]]}]]}',
+            # nesting deeper than the recursion limit
+            "[" * 100_000 + "]" * 100_000,
+        ],
+        ids=["order-true", "dim-true", "triple-true", "all-true", "deep-nesting"],
+    )
+    def test_hostile_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        for command in ("verify", "cardinality"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2 and out == "" and err.startswith("error:"), (command, err)
 
 
 class TestRangeAndClaims:

@@ -7,7 +7,6 @@ from qlatin.generators import (
     J_MATRICES,
     X_MATRICES,
     GeneratorId,
-    block_elements,
     columns_as_vectors,
     make_H,
     make_Hprime,
@@ -16,10 +15,7 @@ from qlatin.generators import (
     make_W0,
     make_Wk,
     make_alpha_basis,
-    make_block_A,
-    make_block_B,
-    make_block_C,
-    make_block_D,
+    make_block,
     mat_is_orthonormal,
     parse_generator_id,
     product_construct,
@@ -27,25 +23,31 @@ from qlatin.generators import (
     wk_row_matrices,
     y_matrices,
 )
-from qlatin.qls_core import cardinality, distinct_elements, verify_qls, verify_row_qlr
-from qlatin.vectors import QVector, ket, phase_equal, vec_add, vec_scale
+from qlatin.qls_core import (
+    canonical_set,
+    cardinality,
+    distinct_elements,
+    verify_qls,
+    verify_row_qlr,
+)
+from qlatin.vectors import QVector, inner_product, ket, phase_equal, vec_add, vec_scale
 
 F = Fraction
 
 
 class TestBlocks:
     def test_a0_is_the_identity_block(self):
-        (v0, v1), (w0, w1) = make_block_A(F(0))
+        (v0, v1), (w0, w1) = make_block("A", F(0))
         assert (v0, v1, w0, w1) == (ket("00"), ket("01"), ket("01"), ket("00"))
 
     def test_a2_cells(self):
         norm = sqrt_rational(F(1, 5))
         expect0 = vec_scale(vec_add(ket("00"), vec_scale(ket("01"), 2)), norm)
-        (v0, v1), _ = make_block_A(F(2))
+        (v0, v1), _ = make_block("A", F(2))
         assert v0 == expect0
 
     def test_b_lives_in_the_bottom_plane(self):
-        for v in block_elements(make_block_B(F(3))):
+        for v in canonical_set(v for row in make_block("B", F(3)) for v in row):
             assert v.entries[0].is_zero and v.entries[1].is_zero
 
     def test_alpha_basis_values(self):
@@ -56,10 +58,10 @@ class TestBlocks:
         assert a4 == QVector([0, F(2, 3), F(-2, 3), F(1, 3)])
 
     def test_c_and_d_blocks_are_orthonormal_pairs(self):
-        from qlatin.vectors import inner_product, is_unit
+        from qlatin.vectors import is_unit
 
-        for maker in (make_block_C, make_block_D):
-            (v0, v1), (w0, w1) = maker(F(1, 2))
+        for fam in ("C", "D"):
+            (v0, v1), (w0, w1) = make_block(fam, F(1, 2))
             assert is_unit(v0) and is_unit(v1)
             assert inner_product(v0, v1).is_zero
             assert (w0, w1) == (v1, v0)
@@ -152,6 +154,25 @@ class TestGeneratorIds:
     def test_invalid_ids_rejected(self, text):
         with pytest.raises(ValueError):
             parse_generator_id(text)
+
+    @pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
+    @pytest.mark.parametrize("a", [F(0), F(2), F(-1, 2), F(4, 3)])
+    def test_block_ids_share_the_rotation_formula(self, fam, a):
+        # a cell of the 4-dimensional block, read in its plane's basis (e0, e1),
+        # is the matching cell of the order-2 id
+        a1, a2, a3, a4 = make_alpha_basis()
+        e0, e1 = {
+            "A": (ket("00"), ket("01")),
+            "B": (ket("10"), ket("11")),
+            "C": (a1, a2),
+            "D": (a3, a4),
+        }[fam]
+        order2 = realize_generator(f"{fam}({a})")
+        for r, row in enumerate(make_block(fam, a)):
+            for c, v in enumerate(row):
+                coords = QVector([inner_product(e0, v), inner_product(e1, v)])
+                assert coords == order2.cells[r][c]
+        assert make_V(a, a + 1).cells[0] == realize_generator(f"A({a})").cells[0]
 
     def test_block_ids_realize_in_subspace_coordinates(self):
         g = realize_generator("A(2)")

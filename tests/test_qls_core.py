@@ -61,10 +61,6 @@ class TestVerification:
         assert verify_qls(g).ok
         assert cardinality(g).cardinality == 2  # -|1> and |1> share a class
 
-    def test_jobs_parameter_agrees(self):
-        g = make_H(6)
-        assert verify_qls(g, jobs=2).ok == verify_qls(g).ok
-
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             QLSGrid([[basis_vector(2, 0)]])  # cell dim != order
