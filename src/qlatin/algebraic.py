@@ -14,7 +14,7 @@ import math
 import os
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -251,18 +251,22 @@ class RadExt(object):
         ]
 
     @classmethod
-    def from_triples(cls, triples: Iterable[Iterable[int]]) -> "RadExt":
-        """Parse the to_triples form, validating canonical shape."""
+    def from_triples(cls, triples: list[list[int]]) -> "RadExt":
+        """Parse the to_triples form, validating canonical shape. Only lists
+        are read, so a JSON object or string never passes as a value."""
+        if type(triples) is not list:
+            raise ValueError(f"expected a list of triples, got {type(triples).__name__}")
         terms: dict[int, Fraction] = {}
         last_rad = 0
         for item in triples:
-            item = list(item)
             # type(), not isinstance: JSON true must not pass as the integer 1
-            if len(item) != 3 or not all(type(x) is int for x in item):
+            if type(item) is not list or len(item) != 3 or not all(type(x) is int for x in item):
                 raise ValueError(f"expected [num, den, radicand] integer triple, got {item!r}")
             num, den, rad = item
             if den <= 0:
                 raise ValueError(f"denominator must be positive, got {den}")
+            if math.gcd(num, den) != 1:
+                raise ValueError(f"fraction {num}/{den} is not in lowest terms")
             if num == 0:
                 raise ValueError("zero coefficients must be omitted")
             if rad <= last_rad:

@@ -4,8 +4,9 @@ verification, and cardinality counting.
 A grid of order n passes verification when all n*n cells are unit vectors
 and every row and every column is pairwise orthogonal; n orthonormal
 vectors in dimension n are automatically a basis. Cardinality counts
-phase-equivalence classes of the cells, with a quadratic pairwise oracle
-kept around as an independent cross-check.
+phase-equivalence classes of the cells by canonical form; an independent
+oracle recounts them by exact inner products, bucketed on each cell's
+support and squared coefficients, without the canonical form.
 """
 
 from __future__ import annotations
@@ -176,23 +177,22 @@ def cardinality(g: QLSGrid) -> CardinalityReport:
 
 
 def cardinality_oracle(g: QLSGrid) -> int:
-    """Independent count via pairwise <u,v>^2 = 1 and union-find; O(n^4)."""
-    flat = [v for row in g.cells for v in row]
-    parent = list(range(len(flat)))
+    """Independent count of phase classes by <u,v>^2 = 1, with no use of
+    canonicalize or sign: only symbolic products and the symbolic zero test.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            if phase_equal_by_inner(flat[i], flat[j]):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    return sum(1 for i, p in enumerate(parent) if find(i) == i)
+    Precondition: the cells are unit vectors, as in a verified grid; for unit
+    vectors <u,v>^2 = 1 exactly when u = +-v. Since u = +-v forces the same
+    support and the same squared coefficients, cells are bucketed on those,
+    and each cell is compared only with the first member of every class
+    found so far in its bucket.
+    """
+    buckets: dict[tuple, list[QVector]] = {}
+    for row in g.cells:
+        for v in row:
+            firsts = buckets.setdefault(tuple((i, e * e) for i, e in v.entries), [])
+            if not any(phase_equal_by_inner(v, w) for w in firsts):
+                firsts.append(v)
+    return sum(len(firsts) for firsts in buckets.values())
 
 
 def canonical_set(cells: Iterable[QVector]) -> frozenset[QVector]:

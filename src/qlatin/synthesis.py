@@ -35,6 +35,18 @@ S1_HIGH = (0, 2, 4, 6, 8, 12, 14, 15, 16)
 REGIMES = ("QLS8-low", "QLS8-high", "QLS8-c57", "low", "high", "QLS12-c105")
 
 
+#: Largest supported m (order 4 * MAX_M). Grid size, JSON size and verify
+#: time all grow polynomially in m, so one command line must not ask for more.
+MAX_M = 32
+
+
+def _check_m(m: int, least: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < least:
+        raise ValueError(f"m must be an integer >= {least}, got {m!r}")
+    if m > MAX_M:
+        raise ValueError(f"m must be at most {MAX_M} (order {4 * MAX_M}), got {m}")
+
+
 class CardinalityRangeError(ValueError):
     """Requested cardinality is outside [4m, 16m^2]."""
 
@@ -54,11 +66,14 @@ def impossibility_message(m: int) -> str:
 
 @lru_cache(maxsize=None)
 def reachable_sums(values: tuple[int, ...], count: int) -> frozenset[int]:
-    """All sums of `count` values drawn from `values` with repetition."""
-    if count == 0:
-        return frozenset({0})
-    prev = reachable_sums(values, count - 1)
-    return frozenset(p + v for p in prev for v in values)
+    """All sums of `count` nonnegative values drawn from `values` with
+    repetition; bit s of the mask is set when s is reachable."""
+    mask = 1
+    for _ in range(count):
+        prev, mask = mask, 0
+        for v in values:
+            mask |= prev << v
+    return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 def low_x1_sumset(m: int) -> frozenset[int]:
@@ -315,8 +330,7 @@ def _plan_high(m: int, c: int) -> SynthPlan:
 
 
 def plan_qls4m(m: int, c: int) -> SynthPlan:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 3:
-        raise ValueError(f"m must be an integer >= 3, got {m!r}")
+    _check_m(m, 3)
     _check_range(m, c)
     if (m, c) == (3, 105):
         return SynthPlan(
@@ -334,8 +348,7 @@ def plan_qls4m(m: int, c: int) -> SynthPlan:
 
 
 def plan_for(m: int, c: int) -> SynthPlan:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    _check_m(m, 2)
     return plan_qls8(c) if m == 2 else plan_qls4m(m, c)
 
 
@@ -400,8 +413,7 @@ class CardinalityRange:
 
 
 def valid_cardinalities(m: int) -> CardinalityRange:
-    if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-        raise ValueError(f"m must be an integer >= 2, got {m!r}")
+    _check_m(m, 2)
     lo, hi = 4 * m, 16 * m * m
     if m == 2:
         low = frozenset(

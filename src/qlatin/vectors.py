@@ -1,5 +1,11 @@
 """State vectors with exact radical coordinates, up to a global sign.
 
+A vector is stored sparsely: its dimension plus the ascending (index,
+coefficient) pairs of its nonzero coordinates. Synthesized cells are
+|j> tensor (an order-4 block's vector), so a cell of order 4m has at most 4
+nonzero coordinates; inner products merge two supports, and a tensor with a
+basis vector is an index shift.
+
 Vectors are real here: phase equivalence collapses to equality up to -1, and
 the canonical representative of a phase class is the vector whose first
 nonzero coordinate is positive.
@@ -22,41 +28,64 @@ def _as_radext(x: Coefficient) -> RadExt:
 
 
 class QVector(object):
-    """Immutable vector over the radical extension ring; hashable once built."""
+    """Immutable sparse vector over the radical extension ring; hashable once
+    built. `entries` holds the (index, coefficient) pairs of the nonzero
+    coordinates, indices ascending."""
 
-    __slots__ = ("entries", "_hash")
+    __slots__ = ("dim", "entries", "_hash")
 
-    def __init__(self, entries: Iterable[Coefficient]):
-        self.entries = tuple(_as_radext(e) for e in entries)
-        if not self.entries:
+    def __init__(self, coords: Iterable[Coefficient]):
+        """Build from the dense list of all `dim` coordinates."""
+        pairs = []
+        dim = 0
+        for x in coords:
+            e = _as_radext(x)
+            if e.terms:
+                pairs.append((dim, e))
+            dim += 1
+        if not dim:
             raise ValueError("a vector needs at least one coordinate")
+        self.dim = dim
+        self.entries = tuple(pairs)
         self._hash = None
 
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+    @classmethod
+    def _raw(cls, dim: int, pairs: tuple[tuple[int, RadExt], ...]) -> "QVector":
+        # internal fast path: pairs already ascending, in range, and nonzero
+        self = object.__new__(cls)
+        self.dim = dim
+        self.entries = pairs
+        self._hash = None
+        return self
+
+    def dense(self) -> tuple[RadExt, ...]:
+        """All `dim` coordinates, zeros included."""
+        out = [ZERO] * self.dim
+        for i, e in self.entries:
+            out[i] = e
+        return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QVector):
             return NotImplemented
-        return self.entries == other.entries
+        return self.dim == other.dim and self.entries == other.entries
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(self.entries)
+            h = hash((self.dim, self.entries))
             self._hash = h
         return h
 
     def __repr__(self) -> str:
-        return f"QVector([{', '.join(map(repr, self.entries))}])"
+        return f"QVector([{', '.join(map(repr, self.dense()))}])"
 
 
 def basis_vector(dim: int, k: int) -> QVector:
     """|k> in dimension dim."""
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
-    return QVector([ONE if i == k else ZERO for i in range(dim)])
+    return QVector._raw(dim, ((k, ONE),))
 
 
 def ket(bits: str) -> QVector:
@@ -67,17 +96,26 @@ def ket(bits: str) -> QVector:
 
 
 def inner_product(u: QVector, v: QVector) -> RadExt:
-    """Real inner product; accumulates term maps directly to stay cheap."""
+    """Real inner product over the common support; disjoint supports cost no
+    arithmetic."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
+    a, b = u.entries, v.entries
+    if not a or not b or a[-1][0] < b[0][0] or b[-1][0] < a[0][0]:
+        return ZERO
     acc: dict[int, Fraction] = {}
-    for ue, ve in zip(u.entries, v.entries):
-        tu = ue.terms
-        if not tu:
-            continue
-        tv = ve.terms
-        if tv:
-            _mul_into(acc, tu, tv)
+    i, j, na, nb = 0, 0, len(a), len(b)
+    while i < na and j < nb:
+        ia, ea = a[i]
+        ib, eb = b[j]
+        if ia == ib:
+            _mul_into(acc, ea.terms, eb.terms)
+            i += 1
+            j += 1
+        elif ia < ib:
+            i += 1
+        else:
+            j += 1
     return RadExt._raw(acc)
 
 
@@ -87,41 +125,43 @@ def is_unit(v: QVector) -> bool:
 
 def tensor(u: QVector, v: QVector) -> QVector:
     """Tensor product with u-major coordinate order: entry p*dim(v)+q is u_p*v_q."""
-    entries = []
-    for ue in u.entries:
-        if not ue.terms:
-            entries.extend([ZERO] * v.dim)
-        else:
-            entries.extend(ue * ve for ve in v.entries)
-    out = QVector.__new__(QVector)
-    out.entries = tuple(entries)
-    out._hash = None
-    return out
+    dv = v.dim
+    # a basis prefix |j> multiplies by ONE: reuse v's coefficients, so a
+    # synthesized cell shares them with its block instead of copying
+    return QVector._raw(
+        u.dim * dv,
+        tuple(
+            (p * dv + q, ve if ue is ONE else ue * ve)
+            for p, ue in u.entries
+            for q, ve in v.entries
+        ),
+    )
 
 
 def vec_add(u: QVector, v: QVector) -> QVector:
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    return QVector([a + b for a, b in zip(u.entries, v.entries)])
+    acc = dict(u.entries)
+    for i, e in v.entries:
+        acc[i] = acc[i] + e if i in acc else e
+    return QVector._raw(u.dim, tuple((i, e) for i, e in sorted(acc.items()) if e.terms))
 
 
 def vec_scale(v: QVector, s: Coefficient) -> QVector:
     s = _as_radext(s)
-    return QVector([s * e for e in v.entries])
+    if not s.terms:
+        return QVector._raw(v.dim, ())
+    return QVector._raw(v.dim, tuple((i, s * e) for i, e in v.entries))
 
 
 def vec_neg(v: QVector) -> QVector:
-    return QVector([-e for e in v.entries])
+    return QVector._raw(v.dim, tuple((i, -e) for i, e in v.entries))
 
 
 def canonicalize(v: QVector) -> QVector:
     """The phase-class representative: first nonzero coordinate made positive."""
-    for e in v.entries:
-        s = e.sign()
-        if s > 0:
-            return v
-        if s < 0:
-            return vec_neg(v)
+    if v.entries and v.entries[0][1].sign() < 0:
+        return vec_neg(v)
     return v
 
 
@@ -143,7 +183,7 @@ def format_vector(v: QVector, labels: tuple[str, ...] | None = None) -> str:
     if labels is None:
         labels = tuple(str(i) for i in range(v.dim))
     parts = []
-    for lab, e in zip(labels, v.entries):
+    for lab, e in zip(labels, v.dense()):
         if e.is_zero:
             continue
         coeff = repr(e)
@@ -164,7 +204,11 @@ def format_vector(v: QVector, labels: tuple[str, ...] | None = None) -> str:
 
 
 def vector_to_json_dict(v: QVector) -> dict:
-    return {"dim": v.dim, "entries": [e.to_triples() for e in v.entries]}
+    """The dense JSON form: one triple list per coordinate, [] for a zero."""
+    entries: list[list] = [[] for _ in range(v.dim)]
+    for i, e in v.entries:
+        entries[i] = e.to_triples()
+    return {"dim": v.dim, "entries": entries}
 
 
 def vector_from_json_dict(obj: dict) -> QVector:
@@ -175,4 +219,13 @@ def vector_from_json_dict(obj: dict) -> QVector:
         raise ValueError(f"bad vector dimension: {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError("vector entry count must equal its dimension")
-    return QVector([RadExt.from_triples(t) for t in entries])
+    pairs = []
+    for i, triples in enumerate(entries):
+        # a zero coordinate is written one way only: the empty list
+        if type(triples) is not list:
+            raise ValueError(
+                f"coordinate {i} must be a list of triples, got {type(triples).__name__}"
+            )
+        if triples:
+            pairs.append((i, RadExt.from_triples(triples)))
+    return QVector._raw(dim, tuple(pairs))

@@ -223,3 +223,14 @@ class TestTriples:
             RadExt.from_triples([[1, 1, 2], [1, 1, 2]])  # duplicate radicand
         with pytest.raises(ValueError):
             RadExt.from_triples([[True, 1, 1]])  # JSON true is not the integer 1
+
+    @pytest.mark.parametrize(
+        "triples",
+        [{}, "", (), [(1, 1, 2)], [{"a": 1, "b": 1, "c": 2}], ["abc"], [[2, 4, 2]], [[-3, 3, 2]]],
+        ids=["object", "string", "tuple", "tuple-triple", "object-triple", "string-triple",
+             "unreduced", "unreduced-negative"],
+    )
+    def test_one_encoding_per_value(self, triples):
+        # only the to_triples form parses: lists of reduced integer triples
+        with pytest.raises(ValueError):
+            RadExt.from_triples(triples)

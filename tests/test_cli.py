@@ -5,6 +5,7 @@ import pytest
 
 from qlatin.cli import main
 from qlatin.qls_core import grid_from_json
+from qlatin.synthesis import MAX_M
 
 
 def run_cli(capsys, *argv):
@@ -98,6 +99,20 @@ class TestSynth:
 
 
 class TestVerifyFailures:
+    @pytest.mark.parametrize("zero", [{}, ""], ids=["object", "string"])
+    def test_zero_coordinate_has_one_encoding(self, capsys, tmp_path, zero):
+        # an order-2 square whose zero coordinates are written as {} or ""
+        _, out, _ = run_cli(capsys, "gen", "A(0)")
+        obj = json.loads(out)
+        for row in obj["cells"]:
+            for cell in row:
+                cell["entries"] = [t if t else zero for t in cell["entries"]]
+        path = tmp_path / "zeros.json"
+        path.write_text(json.dumps(obj))
+        for command in ("verify", "cardinality"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2 and out == "" and err.startswith("error:"), (command, err)
+
     def test_corrupted_grid_exits_1(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "gen", "H(0)")
         obj = json.loads(out)
@@ -130,8 +145,17 @@ class TestVerifyFailures:
             '{"order":true,"provenance":"","cells":[[{"dim":true,"entries":[[[true,1,1]]]}]]}',
             # nesting deeper than the recursion limit
             "[" * 100_000 + "]" * 100_000,
+            # a zero coordinate is written [] and only []
+            '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[{}]}]]}',
+            '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[""]}]]}',
+            # a triple is a list, not an object or a string
+            '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[[{"a":1,"b":1,"c":1}]]}]]}',
+            '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[["abc"]]}]]}',
         ],
-        ids=["order-true", "dim-true", "triple-true", "all-true", "deep-nesting"],
+        ids=[
+            "order-true", "dim-true", "triple-true", "all-true", "deep-nesting",
+            "object-coordinate", "string-coordinate", "object-triple", "string-triple",
+        ],
     )
     def test_hostile_json_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "hostile.json"
@@ -151,6 +175,13 @@ class TestRangeAndClaims:
     def test_range_rejects_small_m(self, capsys):
         code, _, err = run_cli(capsys, "range", "--m", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("m", [MAX_M + 1, 2000])
+    def test_m_above_max_exits_2(self, capsys, m):
+        for argv in (("range", "--m", str(m)), ("synth", "--m", str(m), "--c", "9000")):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err == f"error: m must be at most {MAX_M} (order {4 * MAX_M}), got {m}\n"
 
     def test_claims_subcommand(self, capsys):
         code, out, _ = run_cli(

@@ -1,9 +1,13 @@
 from fractions import Fraction
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlatin.algebraic import sqrt_rational
-from qlatin.generators import make_H, make_V, make_W
+from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
     QLSGrid,
     RowQLR,
@@ -146,3 +150,50 @@ class TestSerialization:
             grid_from_json("{not json")
         with pytest.raises(ValueError):
             grid_from_json('{"order": 2}')
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+def _mutate(node, path, value):
+    """Replace the value at `path` (indices into lists and sorted dict keys)."""
+    if not path or not isinstance(node, (list, dict)) or not node:
+        return value
+    keys = sorted(node) if isinstance(node, dict) else range(len(node))
+    key = list(keys)[path[0] % len(node)]
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[key] = _mutate(node[key], path[1:], value)
+    return copy
+
+
+class TestHostileJSON:
+    """Parsing returns a grid or raises ValueError, and nothing else. A grid
+    it returns writes back the same JSON value, so no value has a second
+    encoding."""
+
+    valid = json.loads(grid_to_json(realize_generator("A(1/2)")))
+
+    @given(st.lists(st.integers(0, 50), max_size=7), _JSON_VALUES)
+    @settings(deadline=None, max_examples=300)
+    def test_mutated_structure(self, path, value):
+        self._check(json.dumps(_mutate(self.valid, path, value)))
+
+    @given(st.integers(0, 10_000), st.integers(0, 3), st.text(alphabet='[]{}",:-0123456789tx ', max_size=4))
+    @settings(deadline=None, max_examples=300)
+    def test_mutated_text(self, at, cut, insert):
+        text = grid_to_json(realize_generator("A(1/2)"))
+        at %= len(text)
+        self._check(text[:at] + insert + text[at + cut:])
+
+    @staticmethod
+    def _check(text):
+        try:
+            g = grid_from_json(text)
+        except ValueError:
+            return
+        assert isinstance(g, QLSGrid)
+        assert json.loads(grid_to_json(g)) == json.loads(text)

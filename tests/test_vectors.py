@@ -58,7 +58,8 @@ class TestArithmetic:
         half = sqrt_rational(F(1, 2))
         u = QVector([half, half])
         w = tensor(u, basis_vector(2, 1))
-        assert w.entries == (ZERO, half, ZERO, half)
+        assert w.dense() == (ZERO, half, ZERO, half)
+        assert w.entries == ((1, half), (3, half))
 
     def test_inner_product_plane_rotation(self):
         u = QVector([F(3, 5), F(4, 5)])
@@ -147,3 +148,58 @@ class TestFormatting:
         half = sqrt_rational(F(1, 2))
         got = format_vector(QVector([half, ZERO - half]))
         assert got == "1/2*sqrt(2)|0> - 1/2*sqrt(2)|1>"
+
+
+def _scaled(ints):
+    return vec_scale(QVector(ints), sqrt_rational(F(1, 5)))
+
+
+class TestSparseLayout:
+    small = st.lists(st.integers(min_value=-2, max_value=2), min_size=1, max_size=5)
+
+    @staticmethod
+    def _assert_canonical(v):
+        indices = [i for i, _ in v.entries]
+        assert indices == sorted(set(indices))
+        assert all(0 <= i < v.dim for i in indices)
+        assert all(not e.is_zero for _, e in v.entries)
+
+    @given(small, small)
+    @settings(deadline=None)
+    def test_entries_ascending_and_nonzero(self, a, b):
+        u, w = _scaled(a), _scaled(b)
+        for v in (
+            u, tensor(u, w), vec_neg(u), vec_scale(u, 0), canonicalize(u),
+            vector_from_json_dict(vector_to_json_dict(u)),
+        ):
+            self._assert_canonical(v)
+        if len(a) == len(b):
+            self._assert_canonical(vec_add(u, w))
+            self._assert_canonical(vec_add(u, vec_neg(u)))
+
+    @given(small, small)
+    @settings(deadline=None)
+    def test_every_construction_agrees(self, a, b):
+        u, w = _scaled(a), _scaled(b)
+        t = tensor(u, w)
+        dense = QVector([x * y for x in u.dense() for y in w.dense()])
+        raw = QVector._raw(t.dim, tuple(t.entries))
+        parsed = vector_from_json_dict(vector_to_json_dict(dense))
+        for v in (dense, raw, parsed):
+            assert v == t and hash(v) == hash(t)
+        assert len({t, dense, raw, parsed}) == 1
+        assert t.dense() == dense.dense()
+
+    def test_dimension_is_part_of_identity(self):
+        assert QVector([1, 0]) != QVector([1, 0, 0])
+        assert QVector([0]) != QVector([0, 0])
+
+    def test_zero_vector_round_trips(self):
+        z = QVector([0, 0, 0])
+        assert z.entries == () and z.dim == 3
+        assert z.dense() == (ZERO, ZERO, ZERO)
+        assert vector_to_json_dict(z) == {"dim": 3, "entries": [[], [], []]}
+        assert vector_from_json_dict(vector_to_json_dict(z)) == z
+        assert canonicalize(z) == z and vec_neg(z) == z
+        assert inner_product(z, basis_vector(3, 1)).is_zero
+        assert tensor(z, ket("1")) == QVector([0] * 6)
