@@ -29,7 +29,7 @@ TRIAL_DIVISION_BOUND = int(
 _SIGN_START_BITS = 64
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _decompose(n: int, bound: int) -> tuple[int, int]:
     s, d = 1, 1
     p = 2

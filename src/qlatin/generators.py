@@ -16,7 +16,7 @@ from typing import Callable, Container, NamedTuple, Sequence, Union
 
 from .algebraic import RadExt, sqrt_rational
 from .qls_core import QLSGrid, RowQLR, verify_row_qlr
-from .vectors import QVector, ket, tensor, vec_add, vec_scale
+from .vectors import QVector, inner_product, ket, tensor, vec_add, vec_scale
 
 Scalar = Union[RadExt, Fraction, int]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -44,12 +44,12 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_is_orthonormal(m: Matrix) -> bool:
-    """M^T M = I, exactly."""
-    prod = mat_mul(mat_transpose(m), m)
+    """M^T M = I, exactly: the columns are pairwise orthogonal unit vectors."""
+    cols = columns_as_vectors(m)
     return all(
-        prod[i][j] == (1 if i == j else 0)
-        for i in range(len(prod))
-        for j in range(len(prod))
+        inner_product(cols[i], cols[j]) == (1 if i == j else 0)
+        for i in range(len(cols))
+        for j in range(i, len(cols))
     )
 
 
@@ -143,7 +143,7 @@ _PLANES = {
 }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def make_block(family: str, a: Fraction) -> Block:
     """The rotation sub-square with tangent a in the plane of family A, B, C or D."""
     e0, e1 = _PLANES[family]
@@ -348,6 +348,9 @@ def parse_generator_id(text: str) -> GeneratorId:
     return GeneratorId(tag, params)
 
 
+# cleared when full, like the inner-product memo, so arbitrary names such as
+# W(a,b) cannot grow it without bound
+_REALIZE_CACHE_MAX = 256
 _REALIZE_CACHE: dict[str, QLSGrid] = {}
 
 
@@ -361,5 +364,8 @@ def realize_generator(gid: GeneratorId | str) -> QLSGrid:
     if got is None:
         spec = _GENERATORS[gid.tag]
         args = gid.params if spec.indices is None else map(int, gid.params)
-        got = _REALIZE_CACHE[key] = spec.build(*args)
+        got = spec.build(*args)
+        if len(_REALIZE_CACHE) >= _REALIZE_CACHE_MAX:
+            _REALIZE_CACHE.clear()
+        _REALIZE_CACHE[key] = got
     return got

@@ -3,15 +3,26 @@ verification, and cardinality counting.
 
 A grid of order n passes verification when all n*n cells are unit vectors
 and every row and every column is pairwise orthogonal; n orthonormal
-vectors in dimension n are automatically a basis. Cardinality counts
-phase-equivalence classes of the cells by canonical form; an independent
-oracle recounts them by exact inner products, bucketed on each cell's
-support and squared coefficients, without the canonical form.
+vectors in dimension n are automatically a basis. Within a line, only the
+pairs of cells that share a nonzero coordinate are tested, in ascending
+(p, q) order: a pair with disjoint supports is orthogonal by structure, and
+the first violation found is the one a scan of all pairs finds. Cardinality
+counts phase-equivalence classes of the cells by canonical form; an
+independent oracle recounts them by exact inner products, bucketed on each
+cell's support and squared coefficients, without the canonical form.
+
+Grid JSON is read and written with the cyclic garbage collector paused (and
+restored to its previous state): the parsed lists and dicts hold no cycles,
+so reference counting frees them, and the collector's passes over millions
+of young containers would cost more than the parse. Equal coefficients read
+from one grid are interned, so inner products hit their memo by identity.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -22,7 +33,7 @@ from .vectors import (
     inner_product,
     phase_equal,
     phase_equal_by_inner,
-    vector_from_json_dict,
+    _vector_from_json_dict,
     vector_to_json_dict,
 )
 
@@ -107,10 +118,15 @@ class RowQLR(object):
 
 def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
     for index, cells in enumerate(lines):
-        n = len(cells)
-        for p in range(n):
-            for q in range(p + 1, n):
-                if not inner_product(cells[p], cells[q]).is_zero:
+        # positions holding each coordinate, ascending
+        holders: dict[int, list[int]] = {}
+        for p, v in enumerate(cells):
+            for i, _ in v.entries:
+                holders.setdefault(i, []).append(p)
+        for p, u in enumerate(cells):
+            partners = {q for i, _ in u.entries for q in holders[i] if q > p}
+            for q in sorted(partners):
+                if not inner_product(u, cells[q]).is_zero:
                     return VerificationReport(
                         ok=False,
                         message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
@@ -230,24 +246,43 @@ def grid_from_json_dict(obj: dict) -> QLSGrid:
         raise ValueError("provenance must be a string")
     if not isinstance(cells, list) or len(cells) != order:
         raise ValueError("cells must be an order x order array")
+    interned: dict = {}
     rows = []
     for row in cells:
         if not isinstance(row, list) or len(row) != order:
             raise ValueError("cells must be an order x order array")
-        rows.append([vector_from_json_dict(v) for v in row])
+        rows.append([_vector_from_json_dict(v, interned) for v in row])
     return QLSGrid(rows, provenance=prov)
+
+
+@contextmanager
+def _gc_paused():
+    """Pause the cyclic collector, restoring its previous state on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def grid_to_json(g: QLSGrid, pretty: bool = False) -> str:
     """Deterministic serialization: fixed key order, no whitespace drift."""
-    if pretty:
-        return json.dumps(grid_to_json_dict(g), indent=2) + "\n"
-    return json.dumps(grid_to_json_dict(g), separators=(",", ":")) + "\n"
+    with _gc_paused():
+        if pretty:
+            return json.dumps(grid_to_json_dict(g), indent=2) + "\n"
+        return json.dumps(grid_to_json_dict(g), separators=(",", ":")) + "\n"
 
 
 def grid_from_json(text: str) -> QLSGrid:
-    try:
-        obj = json.loads(text)
-    except RecursionError:
-        raise ValueError("grid JSON is nested too deeply") from None
-    return grid_from_json_dict(obj)
+    with _gc_paused():
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("grid JSON is nested too deeply") from None
+        g = grid_from_json_dict(obj)
+        # free the parsed tree while paused: only the grid survives to meet
+        # the collector's first pass after it resumes
+        del obj
+        return g

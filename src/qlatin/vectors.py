@@ -6,6 +6,13 @@ coefficient) pairs of its nonzero coordinates. Synthesized cells are
 nonzero coordinates; inner products merge two supports, and a tensor with a
 basis vector is an index shift.
 
+A grid holds few distinct coefficients (about 200 at order 64), so
+`inner_product` memoizes its exact sum in `_PRODUCT_MEMO`, keyed on the
+coefficient pairs at the shared indices; the memo holds at most
+`PRODUCT_MEMO_MAX` (1024) entries and is cleared when full. Cells that share a
+block share its coefficient objects, and grid JSON parsing interns equal
+coefficients, so most memo lookups compare by identity.
+
 Vectors are real here: phase equivalence collapses to equality up to -1, and
 the canonical representative of a phase class is the vector whose first
 nonzero coordinate is positive.
@@ -95,28 +102,47 @@ def ket(bits: str) -> QVector:
     return basis_vector(2 ** len(bits), int(bits, 2))
 
 
+#: Entry cap of the inner-product memo; it is cleared when full, so memory
+#: stays bounded whatever the input.
+PRODUCT_MEMO_MAX = 1024
+_PRODUCT_MEMO: dict[tuple[RadExt, ...], RadExt] = {}
+
+
 def inner_product(u: QVector, v: QVector) -> RadExt:
     """Real inner product over the common support; disjoint supports cost no
-    arithmetic."""
+    arithmetic, and a repeated set of coefficient pairs is a memo lookup."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
     a, b = u.entries, v.entries
     if not a or not b or a[-1][0] < b[0][0] or b[-1][0] < a[0][0]:
         return ZERO
-    acc: dict[int, Fraction] = {}
+    # the coefficients at shared indices, flattened as ea, eb, ea, eb, ...
+    key: list[RadExt] = []
     i, j, na, nb = 0, 0, len(a), len(b)
     while i < na and j < nb:
         ia, ea = a[i]
         ib, eb = b[j]
         if ia == ib:
-            _mul_into(acc, ea.terms, eb.terms)
+            key += (ea, eb)
             i += 1
             j += 1
         elif ia < ib:
             i += 1
         else:
             j += 1
-    return RadExt._raw(acc)
+    if not key:
+        return ZERO
+    key = tuple(key)
+    got = _PRODUCT_MEMO.get(key)
+    if got is None:
+        acc: dict[int, Fraction] = {}
+        for k in range(0, len(key), 2):
+            _mul_into(acc, key[k].terms, key[k + 1].terms)
+        got = RadExt._raw(acc)
+        if len(_PRODUCT_MEMO) >= PRODUCT_MEMO_MAX:
+            _PRODUCT_MEMO.clear()
+        _PRODUCT_MEMO[key] = got
+    return got
 
 
 def is_unit(v: QVector) -> bool:
@@ -212,6 +238,12 @@ def vector_to_json_dict(v: QVector) -> dict:
 
 
 def vector_from_json_dict(obj: dict) -> QVector:
+    return _vector_from_json_dict(obj, {})
+
+
+def _vector_from_json_dict(obj: dict, interned: dict[tuple, RadExt]) -> QVector:
+    """Parse one vector; a coefficient whose triples are already in `interned`
+    is replaced by that object, so equal values read from one grid share it."""
     if not isinstance(obj, dict) or set(obj) != {"dim", "entries"}:
         raise ValueError("vector object must have exactly the keys 'dim' and 'entries'")
     dim, entries = obj["dim"], obj["entries"]
@@ -220,12 +252,15 @@ def vector_from_json_dict(obj: dict) -> QVector:
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError("vector entry count must equal its dimension")
     pairs = []
-    for i, triples in enumerate(entries):
-        # a zero coordinate is written one way only: the empty list
+    # a zero coordinate is written one way only: the empty list, skipped here;
+    # anything else, falsy or not, is checked in index order below
+    for i, triples in [(i, t) for i, t in enumerate(entries) if t or type(t) is not list]:
         if type(triples) is not list:
             raise ValueError(
                 f"coordinate {i} must be a list of triples, got {type(triples).__name__}"
             )
-        if triples:
-            pairs.append((i, RadExt.from_triples(triples)))
+        # keyed on the triples only after from_triples has validated them as
+        # exact ints, so JSON true never aliases 1
+        e = RadExt.from_triples(triples)
+        pairs.append((i, interned.setdefault(tuple(map(tuple, triples)), e)))
     return QVector._raw(dim, tuple(pairs))

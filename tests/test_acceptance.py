@@ -9,13 +9,23 @@ from fractions import Fraction
 import pytest
 
 from qlatin.generators import (
+    make_V,
     make_Wk,
     mat_is_orthonormal,
     realize_generator,
     y_matrices,
 )
-from qlatin.algebraic import sqrt_rational
-from qlatin.qls_core import QLSGrid, cardinality, cardinality_oracle, distinct_elements, verify_qls
+from qlatin.algebraic import ZERO, sqrt_rational
+from qlatin.qls_core import (
+    QLSGrid,
+    RowQLR,
+    VerificationReport,
+    cardinality,
+    cardinality_oracle,
+    distinct_elements,
+    verify_qls,
+    verify_row_qlr,
+)
 from qlatin.synthesis import (
     ImpossibleCardinalityError,
     high_x1_sumset,
@@ -24,7 +34,7 @@ from qlatin.synthesis import (
     synth,
     valid_cardinalities,
 )
-from qlatin.vectors import QVector, phase_equal_by_inner, vec_neg
+from qlatin.vectors import QVector, phase_equal, phase_equal_by_inner, vec_neg, vec_scale
 
 SWEEP_M = (2, 3, 4, 5)
 # criterion 8 recounts every swept grid up to this order with the oracle;
@@ -183,6 +193,102 @@ def test_bucketed_oracle_matches_pairwise_reference():
         assert verify_qls(g).ok, g
         assert cardinality_oracle(g) == _pairwise_oracle(g) == cardinality(g).cardinality, g
     assert cardinality_oracle(shared_bucket[0]) == 2
+
+
+def _dense_inner(u, v):
+    """Reference inner product over every coordinate, zeros included."""
+    return sum((a * b for a, b in zip(u.dense(), v.dense())), ZERO)
+
+
+def _full_pair_scan(rows, kinds):
+    """Reference verifier: every unit equation, then every pair of cells in
+    every line, with no use of supports or the inner-product memo."""
+    for r, row in enumerate(rows):
+        for c, v in enumerate(row):
+            if _dense_inner(v, v) != 1:
+                return VerificationReport(False, f"cell ({r},{c}) is not a unit vector", ("unit", r, c))
+    lines = {"row": rows, "col": list(zip(*rows))}
+    for kind in kinds:
+        for index, cells in enumerate(lines[kind]):
+            for p in range(len(cells)):
+                for q in range(p + 1, len(cells)):
+                    if not _dense_inner(cells[p], cells[q]).is_zero:
+                        return VerificationReport(
+                            False,
+                            f"{kind} {index}: cells {p} and {q} are not orthogonal",
+                            (kind, index, p, q),
+                        )
+    return None
+
+
+def _reference_verify_qls(g):
+    return _full_pair_scan(g.cells, ("row", "col")) or VerificationReport(ok=True)
+
+
+def _reference_verify_row_qlr(r):
+    bad = _full_pair_scan(r.cells, ("row",))
+    if bad is not None:
+        return bad
+    dups = tuple(
+        (i, j)
+        for i in range(r.rows)
+        for j in range(i + 1, r.rows)
+        if all(phase_equal(a, b) for a, b in zip(r.cells[i], r.cells[j]))
+    )
+    return VerificationReport(ok=True, duplicate_rows=dups)
+
+
+def _replace(g, changes):
+    cells = [list(row) for row in g.cells]
+    for (r, c), v in changes.items():
+        cells[r][c] = v
+    return QLSGrid(cells)
+
+
+def _flip_last_coordinate(v):
+    coords = list(v.dense())
+    i = v.entries[-1][0]
+    coords[i] = -coords[i]
+    return QVector(coords)
+
+
+def _corruptions(g):
+    """Grids that fail on a row (one coordinate's sign flipped), on a column
+    (two cells of a row swapped) and on a unit (a cell scaled by 2)."""
+    n = g.order
+    spots = [(0, 0), (0, n - 1), (1, 2), (n // 2, n // 3), (n - 1, 0), (n - 1, n - 1)]
+    flips = {rc: _flip_last_coordinate(g.cells[rc[0]][rc[1]]) for rc in spots}
+    out = [_replace(g, {rc: v}) for rc, v in flips.items()]
+    out.append(_replace(g, flips))
+    for r, c1, c2 in ((0, 0, 1), (n - 1, 1, n - 1), (n // 2, 0, n // 2)):
+        out.append(_replace(g, {(r, c1): g.cells[r][c2], (r, c2): g.cells[r][c1]}))
+    out.append(_replace(g, {(n - 1, n // 2): vec_scale(g.cells[n - 1][n // 2], 2)}))
+    out.append(_replace(g, {(0, 1): flips[(0, n - 1)], (n - 1, 0): vec_scale(g.cells[n - 1][0], 2)}))
+    return out
+
+
+def test_verification_matches_full_pair_reference():
+    synthesized = [synth(m, c)[1] for m, c in ((2, 8), (2, 57), (3, 105), (3, 144), (4, 20), (4, 200))]
+    blocks = [realize_generator(gid) for gid in GENERATOR_IDS]
+    # a cyclic order-4 lift with cell (0,0) = (|0> + |2>)/sqrt(2): the pair
+    # that fails shares only the cell's second coordinate
+    h = sqrt_rational(Fraction(1, 2))
+    lift = QLSGrid([[QVector([int((i + j) % 4 == k) for k in range(4)]) for j in range(4)] for i in range(4)])
+    oblique = _replace(lift, {(0, 0): QVector([h, 0, h, 0])})
+    grids = blocks + synthesized + [oblique] + [bad for g in synthesized for bad in _corruptions(g)]
+    kinds = set()
+    for g in grids:
+        want = _reference_verify_qls(g)
+        assert verify_qls(QLSGrid(g.cells)) == want, (g, want)
+        kinds.add(want.location[0] if want.location else "ok")
+        rect = RowQLR(g.cells)
+        assert verify_row_qlr(rect) == _reference_verify_row_qlr(rect), g
+    # W0 (among the blocks) has cells with full support
+    assert sum(len(v.entries) == 4 for row in realize_generator("W0").cells for v in row) == 4
+    assert kinds == {"ok", "unit", "row", "col"}
+    for a, b in ((0, 1), (2, 3), (1, 1)):
+        rect = make_V(a, b) if a != b else RowQLR([make_V(0, 1).cells[0]] * 2)
+        assert verify_row_qlr(rect) == _reference_verify_row_qlr(rect)
 
 
 def test_criterion_09_reachable_sum_sets():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from qlatin.algebraic import sqrt_rational
+from qlatin import algebraic, generators
+from qlatin.algebraic import sqrt_rational, squarefree_decompose
 from qlatin.generators import (
     J_MATRICES,
     X_MATRICES,
@@ -76,6 +77,11 @@ class TestFixedMatrices:
         g = make_W0()
         for i, m in enumerate(X_MATRICES):
             assert g.cells[i] == columns_as_vectors(m)
+
+    def test_non_orthonormal_matrices_rejected(self):
+        assert not mat_is_orthonormal(((1, 0), (0, 2)))  # orthogonal, not unit
+        assert not mat_is_orthonormal(((F(3, 5), F(4, 5)), (F(4, 5), F(3, 5))))  # unit, not orthogonal
+        assert mat_is_orthonormal(tuple(tuple(-x for x in row) for row in J_MATRICES[1]))
 
     def test_wk_products_stay_orthonormal(self):
         for k in range(1, 5):
@@ -180,3 +186,24 @@ class TestGeneratorIds:
         assert verify_qls(g).ok
         # the block repeats its two cells on the anti-diagonal
         assert cardinality(g).cardinality == 2
+
+
+class TestCacheBounds:
+    def test_every_cache_stays_at_or_under_its_cap(self):
+        saved = dict(generators._REALIZE_CACHE)
+        try:
+            decompose_cap = algebraic._decompose.cache_info().maxsize
+            for n in range(2, decompose_cap + 100):
+                squarefree_decompose(n)
+            assert algebraic._decompose.cache_info().currsize <= decompose_cap
+            block_cap = make_block.cache_info().maxsize
+            for k in range(1, block_cap + 50):
+                make_block("A", F(1, k))
+            assert make_block.cache_info().currsize <= block_cap
+            realize_cap = generators._REALIZE_CACHE_MAX
+            for k in range(1, realize_cap + 50):
+                realize_generator(f"A({k}/{k + 1})")
+                assert len(generators._REALIZE_CACHE) <= realize_cap
+        finally:
+            generators._REALIZE_CACHE.clear()
+            generators._REALIZE_CACHE.update(saved)

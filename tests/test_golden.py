@@ -1,0 +1,86 @@
+"""Golden outputs: the sha256 of stdout from in-process `qlatin synth`, `gen`
+and `claims --format json`. Outputs must stay byte for byte the same across
+performance and refactoring changes; a digest here changes only with a
+deliberate change of output, recorded in CHANGES.md.
+
+To print the digests of the current code:
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from qlatin.cli import main
+
+from test_acceptance import GENERATOR_IDS
+
+# (m, c) over m = 2, 3, 8: QLS8-low, QLS8-c57, QLS8-high, low, QLS12-c105,
+# high, and the low and high regimes at order 32
+SYNTH_TARGETS = ((2, 8), (2, 57), (2, 64), (3, 14), (3, 105), (3, 144), (8, 40), (8, 1000))
+
+
+def _stdout_digest(*argv: str) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0, err.getvalue()
+    return hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+
+
+def _cases():
+    for m, c in SYNTH_TARGETS:
+        yield ("synth", "--m", str(m), "--c", str(c))
+    for gid in GENERATOR_IDS:
+        yield ("gen", gid)
+    yield ("claims", "--format", "json")
+
+
+GOLDEN = {
+    "synth --m 2 --c 8": "ac226b715fcbd481155aa0b7d39bac10db394a807da2e433f72eb031f57c88b2",
+    "synth --m 2 --c 57": "52452d003cbf08997b6cf7684647be1046b90c104a9e6a334b6eadb080b7e1cc",
+    "synth --m 2 --c 64": "f604abb184d877bdb9cdd90aa5d7cc96865b23f1bc339ee9b80887680b88f7f1",
+    "synth --m 3 --c 14": "1a493c12abfdd4696d55ec9e735e31ee3efef12b6436d694d18efa862533a4ef",
+    "synth --m 3 --c 105": "690c5bd051639e91d0d88d5277dac8adae1192129a8ce046fa50c52103847bb3",
+    "synth --m 3 --c 144": "f7ce97a01c8919f601be8ca9d5399f5ad9a021aecfe3c25904a3c217bf9fde66",
+    "synth --m 8 --c 40": "35ae1abe5885b31d002ea94da76252e0807035991081b6ce1c311cd448b29aee",
+    "synth --m 8 --c 1000": "c383bbaf0c9323e68cdcc75f8119e7947fc20355ac1996bde7c19fd463f1eb3d",
+    "gen H(0)": "9748aec0bb64cce85607cdd5a54cf9b1891aca5e03c6a7060ffabcc3c6e9cdf0",
+    "gen H(1)": "c9ff5920a34f008fac7eaee0cfd73db85c7577ad7c59595a6432320860a8acb0",
+    "gen H(2)": "7fcbe7410d4cddbab20038ac7ec6f63736ab26085e683e4d0be9c6beffe011a0",
+    "gen H(3)": "3ce9d4ed69f5993dc1ace0386db24b3f75eae8a3436355587b51360fe6a6ad6a",
+    "gen H(4)": "155d4c84ca967bdb19b8b2bf317e198bc0b1e1a819abba75fa87a8f43871800e",
+    "gen H(5)": "68b85883e696b0a26ae068f53a6a977083c0daa486d17574e260807725624911",
+    "gen H(6)": "0340dd0cd03a47a1eb37531df4034db0e067cc370492d17e7a0ba4459b183972",
+    "gen H(7)": "b50405dbc935520ae99c1b17f9b213ead19d019a08e2f045f29004cb1d6433d0",
+    "gen H(8)": "1f7b8acd58d623d48f27d2ff9767dc49bd046b11187917f654c5e23ec296b7a7",
+    "gen Hprime(2)": "285ab693b21c302d385459ffbb5862e33f288edb03067776e673448ec26b94b2",
+    "gen Hprime(4)": "84612b85d1c08fdb5bc9aa0bc40f2b883dc7ce46c05a798a43aaea148aa3d14b",
+    "gen Hprime(6)": "24734c6ec9d1cb4e7cb453ca476725db798cf6d762035ace3b7d9bf953a2f125",
+    "gen Hprime(8)": "26db9cac8408ebccc5e07045b668c83407eb3b250f719b998934018e3c0e8dfb",
+    "gen W0": "738d801351e4d73311c3be97d50c1da439927be043652001b0c1104d831212f9",
+    "gen Wk(1)": "9c5e6e607a8c243ec1a30b29cc0bb66d273ef650960ad98101af3bb274be93b2",
+    "gen Wk(2)": "e6debf1623e83b55a07b751ccbe2bc2c0dcbbdf27573efdb347832f79c95729c",
+    "gen Wk(3)": "6bb8282d067e9542a8d1a8884772d17d7fb30fc3cd0581176c5e2010b39fd218",
+    "gen Wk(4)": "4ad37385ea9e72bcf79232ac0383b991b0db65980f4c19d7f164fd5ef19f1009",
+    "gen W(5,6)": "e9c290880366d21504ec133ba505688bf26376b75b123482f4380f23c44c0a26",
+    "gen W(7,8)": "fbbda25523b68bc3cd92cb51e0a52eccee522111c6be2cafa21e6f259457cec2",
+    "gen A(0)": "13f03e52889cfb2c732f3fd572021e50720a0fab82cdf5c499a011a3a0525f83",
+    "gen A(2)": "b46354214814e1633a3454c550e1df7a7d4f3ca3dd6f52e2eb576e0e5d8c160f",
+    "gen B(3)": "9bcca2d0216b3e3a830b1b5b85b85de6fc635aae028b0d3fdebe60eeccb5a375",
+    "gen C(1)": "4119d86c17752d36e79dd23d310a7d6569982c977c8701e5eb60656efd0ce58a",
+    "gen D(4)": "2220ec6df7960fb80f512e5b379c8d6375b81ecc5bbc9f4b33c9f959fb393123",
+    "claims --format json": "bbb04e561a46ea3b01ad7daac43b73410e3d6c199e64b210cee356af958d7c84",
+}
+
+
+@pytest.mark.parametrize("argv", list(_cases()), ids=" ".join)
+def test_stdout_is_byte_identical(argv):
+    assert _stdout_digest(*argv) == GOLDEN[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    for argv in _cases():
+        print(f'    "{" ".join(argv)}": "{_stdout_digest(*argv)}",')

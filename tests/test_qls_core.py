@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import gc
 import json
 
 import pytest
@@ -150,6 +151,36 @@ class TestSerialization:
             grid_from_json("{not json")
         with pytest.raises(ValueError):
             grid_from_json('{"order": 2}')
+
+    def test_equal_coefficients_are_interned(self):
+        g = grid_from_json(grid_to_json(make_W(5, 6)))
+        coeffs = [e for row in g.cells for v in row for _, e in v.entries]
+        by_value = {}
+        for e in coeffs:
+            assert by_value.setdefault(e, e) is e
+        assert len(by_value) < len(coeffs)
+
+    def test_interning_never_aliases_true(self):
+        obj = grid_to_json_dict(cyclic_grid(2))
+        obj["cells"][1][1]["entries"][0] = [[True, 1, 1]]
+        with pytest.raises(ValueError):
+            grid_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_state_is_restored(self, enabled):
+        text = grid_to_json(make_W(5, 6))
+        malformed = [text.replace('"order":', '"order":-', 1), "[" * 100_000]
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            assert grid_to_json(grid_from_json(text), pretty=True)
+            assert gc.isenabled() is enabled
+            for bad in malformed:
+                with pytest.raises(ValueError):
+                    grid_from_json(bad)
+                assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
 
 
 _JSON_VALUES = st.recursive(

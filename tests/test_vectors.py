@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin.algebraic import ONE, ZERO, sqrt_rational
+from qlatin import vectors
+from qlatin.algebraic import ONE, ZERO, RadExt, _mul_into, sqrt_rational
 from qlatin.vectors import (
     QVector,
     basis_vector,
@@ -203,3 +204,40 @@ class TestSparseLayout:
         assert canonicalize(z) == z and vec_neg(z) == z
         assert inner_product(z, basis_vector(3, 1)).is_zero
         assert tensor(z, ket("1")) == QVector([0] * 6)
+
+
+# a small pool of coefficients, so random vectors repeat memo keys; the last
+# four are equal in value to earlier ones but are distinct objects
+_POOL = [sqrt_rational(F(k, 7)) * s for k in (1, 2, 3, 4) for s in (1, -1)]
+_POOL += [RadExt.from_rational(F(3, 5)), ONE]
+_POOL += [RadExt.from_triples(e.to_triples()) for e in _POOL[:3] + [ONE]]
+
+
+def _sparse(dim, picks):
+    coords = [ZERO] * dim
+    for i, k in picks:
+        coords[i % dim] = _POOL[k % len(_POOL)]
+    return QVector(coords)
+
+
+class TestProductMemo:
+    picks = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 40)), max_size=6)
+
+    @given(st.integers(1, 16), picks, picks)
+    @settings(deadline=None, max_examples=300)
+    def test_matches_a_fresh_sum(self, dim, a, b):
+        u, v = _sparse(dim, a), _sparse(dim, b)
+        acc = {}
+        right = dict(v.entries)
+        for i, e in u.entries:
+            if i in right:
+                _mul_into(acc, e.terms, right[i].terms)
+        assert inner_product(u, v).terms == acc
+        assert inner_product(u, v) == inner_product(v, u)
+
+    def test_never_exceeds_its_cap(self):
+        cap = vectors.PRODUCT_MEMO_MAX
+        for k in range(1, cap + 200):
+            got = inner_product(QVector([F(1, k), 0]), QVector([k, 1]))
+            assert got == ONE
+            assert 0 < len(vectors._PRODUCT_MEMO) <= cap
