@@ -21,7 +21,10 @@ from .vectors import format_vector
 
 
 def _read_grid(path: str) -> QLSGrid:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        return grid_from_json(sys.stdin.read())
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     return grid_from_json(text)
 
 

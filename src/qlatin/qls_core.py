@@ -11,10 +11,24 @@ counts phase-equivalence classes of the cells by canonical form; an
 independent oracle recounts them by exact inner products, bucketed on each
 cell's support and squared coefficients, without the canonical form.
 
-Grid JSON is read and written with the cyclic garbage collector paused (and
-restored to its previous state): the parsed lists and dicts hold no cycles,
-so reference counting frees them, and the collector's passes over millions
-of young containers would cost more than the parse. Equal coefficients read
+Grid JSON costs time and memory in proportion to a grid's nonzero
+coordinates, not its n^3 coordinates, and its bytes are those of
+`json.dumps(grid_to_json_dict(g), separators=(",", ":"))` plus a newline:
+
+- the writer renders each distinct coefficient's triple list once and writes
+  a run of k zero coordinates as `"[],"*k`;
+- the reader walks the writer's exact layout one cell at a time: it matches
+  the fixed skeleton and each cell head literally, checks each run of zeros
+  with `str.count`, and decodes and validates each distinct coordinate text
+  once (`JSONDecoder.raw_decode`, then `RadExt.from_triples`);
+- any other layout, and any error, falls back to `json.loads` and
+  `grid_from_json_dict`, the reference that decides what is accepted and
+  what every error says.
+
+Only the fallback pauses the cyclic garbage collector (restoring its
+previous state): the lists and dicts `json.loads` builds hold no cycles, so
+reference counting frees them, and the collector's passes over millions of
+young containers would cost more than the parse. Equal coefficients read
 from one grid are interned, so inner products hit their memo by identity.
 """
 
@@ -26,7 +40,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .algebraic import ONE
+from .algebraic import ONE, RadExt
 from .vectors import (
     QVector,
     canonicalize,
@@ -267,15 +281,132 @@ def _gc_paused():
             gc.enable()
 
 
-def grid_to_json(g: QLSGrid, pretty: bool = False) -> str:
-    """Deterministic serialization: fixed key order, no whitespace drift."""
-    with _gc_paused():
-        if pretty:
-            return json.dumps(grid_to_json_dict(g), indent=2) + "\n"
-        return json.dumps(grid_to_json_dict(g), separators=(",", ":")) + "\n"
+_ZEROS = "[],"
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _cell_json(v: QVector, texts: dict[RadExt, str]) -> str:
+    """One cell's compact JSON; `texts` caches each coefficient's triples."""
+    parts = ['{"dim":%d,"entries":[' % v.dim]
+    start = 0
+    for i, e in v.entries:
+        t = texts.get(e)
+        if t is None:
+            t = texts[e] = json.dumps(e.to_triples(), separators=(",", ":"))
+        parts += (_ZEROS * (i - start), t, ",")
+        start = i + 1
+    parts.append(_ZEROS * (v.dim - start))
+    # every coordinate above is followed by a comma; the last one is not
+    return "".join(parts)[:-1] + "]}"
+
+
+def grid_to_json(g: QLSGrid) -> str:
+    """Deterministic serialization: fixed key order, no whitespace drift.
+    Equal byte for byte to json.dumps(grid_to_json_dict(g),
+    separators=(",", ":")) plus a newline, without building that n^3-list
+    tree."""
+    texts: dict[RadExt, str] = {}
+    head = '{"order":%d,"provenance":%s,"cells":[' % (g.order, json.dumps(g.provenance))
+    rows = ("[" + ",".join([_cell_json(v, texts) for v in row]) + "]" for row in g.cells)
+    return head + ",".join(rows) + "]}\n"
+
+
+def _is_zero_run(text: str, start: int, stop: int) -> bool:
+    """text[start:stop] is "[],"*k: k disjoint copies fill 3k characters."""
+    return (stop - start) % 3 == 0 and text.count(_ZEROS, start, stop) * 3 == stop - start
+
+
+def _canonical_cell(
+    text: str, pos: int, end: int, n: int, coeffs: dict[str, RadExt], interned: dict
+) -> tuple | None:
+    """The (index, coefficient) pairs of the n coordinates text[pos:end], or
+    None when they are not in the writer's layout. A coordinate text is
+    decoded and validated on its first appearance, then looked up."""
+    pairs = []
+    i = 0
+    while True:
+        nz = text.find("[[", pos, end)
+        if nz < 0:
+            # the rest are k >= 1 zeros: "[],"*(k-1) + "[]"
+            tail = end - 2
+            if tail < pos or not _is_zero_run(text, pos, tail) or not text.startswith("[]", tail):
+                return None
+            i += (tail - pos) // 3 + 1
+            break
+        if not _is_zero_run(text, pos, nz):
+            return None
+        i += (nz - pos) // 3
+        stop = text.find("]]", nz, end) + 2
+        if stop < 2:
+            return None
+        key = text[nz:stop]
+        e = coeffs.get(key)
+        if e is None:
+            triples, got = _raw_decode(text, nz)
+            if got != stop:
+                return None
+            e = RadExt.from_triples(triples)
+            # interned on the value, as grid_from_json_dict does
+            e = coeffs[key] = interned.setdefault(tuple(map(tuple, triples)), e)
+        pairs.append((i, e))
+        i += 1
+        if stop == end:
+            break
+        if text[stop] != ",":
+            return None
+        pos = stop + 1
+    return tuple(pairs) if i == n else None
+
+
+def _grid_from_canonical(text: str) -> QLSGrid | None:
+    """The grid that grid_from_json_dict(json.loads(text)) returns, read one
+    cell at a time, for text in grid_to_json's layout; None for any other
+    layout. Raises ValueError or RecursionError where the coordinates would
+    make the reference raise; the caller then runs the reference for its
+    message."""
+    if not isinstance(text, str) or not text.startswith('{"order":'):
+        return None
+    n, pos = _raw_decode(text, len('{"order":'))
+    if type(n) is not int or n < 1 or not text.startswith(',"provenance":', pos):
+        return None
+    prov, pos = _raw_decode(text, pos + len(',"provenance":'))
+    if type(prov) is not str or not text.startswith(',"cells":[', pos):
+        return None
+    pos += len(',"cells":[')
+    head = '{"dim":%d,"entries":[' % n
+    # what precedes each cell: the first row's "[", a new row's "],[", or ","
+    first, new_row, next_cell = "[" + head, "],[" + head, "," + head
+    coeffs: dict[str, RadExt] = {}
+    interned: dict = {}
+    rows = []
+    for r in range(n):
+        row = []
+        for c in range(n):
+            lead = next_cell if c else new_row if r else first
+            if not text.startswith(lead, pos):
+                return None
+            pos += len(lead)
+            end = text.find("]}", pos)
+            pairs = None if end < 0 else _canonical_cell(text, pos, end, n, coeffs, interned)
+            if pairs is None:
+                return None
+            row.append(QVector._raw(n, pairs))
+            pos = end + 2
+        rows.append(row)
+    if not text.startswith("]]}", pos) or text[pos + 3:].strip(" \t\n\r"):
+        return None
+    return QLSGrid(rows, provenance=prov)
 
 
 def grid_from_json(text: str) -> QLSGrid:
+    """Parse grid JSON: the writer's layout streamed cell by cell, anything
+    else (and every error) through the json.loads reference path."""
+    try:
+        g = _grid_from_canonical(text)
+    except (ValueError, RecursionError):
+        g = None
+    if g is not None:
+        return g
     with _gc_paused():
         try:
             obj = json.loads(text)

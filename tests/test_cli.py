@@ -1,11 +1,19 @@
+import contextlib
 import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlatin.cli import main
-from qlatin.qls_core import grid_from_json
-from qlatin.synthesis import MAX_M
+from qlatin.generators import realize_generator
+from qlatin.qls_core import grid_from_json, grid_to_json
+from qlatin.synthesis import MAX_M, execute_plan, plan_for
+
+from test_qls_core import _JSON_VALUES, _mutate, _reference_parse
 
 
 def run_cli(capsys, *argv):
@@ -163,6 +171,63 @@ class TestVerifyFailures:
         for command in ("verify", "cardinality"):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 2 and out == "" and err.startswith("error:"), (command, err)
+
+
+def _reference_rejects(text: str) -> bool:
+    try:
+        _reference_parse(text)
+    except ValueError:
+        return True
+    return False
+
+
+class TestFuzzedGridFiles:
+    """verify and cardinality on mutated grid files: exit 0, 1 or 2, exit 2
+    exactly when the json.loads reference rejects the text, and a one-line
+    stderr with no traceback."""
+
+    bases = {
+        "W(5,6)": grid_to_json(realize_generator("W(5,6)")),
+        "synth 2 40": grid_to_json(execute_plan(plan_for(2, 40))),
+    }
+
+    @given(
+        st.sampled_from(sorted(bases)),
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.text(alphabet='[]{}",:-0123456789tx ', max_size=4),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_mutated_text(self, base, at, cut, insert):
+        text = self.bases[base]
+        at %= len(text)
+        self._check(text[:at] + insert + text[at + cut:])
+
+    @given(st.lists(st.integers(0, 50), max_size=7), _JSON_VALUES, st.booleans())
+    @settings(deadline=None, max_examples=40)
+    def test_mutated_structure(self, path, value, compact):
+        obj = _mutate(json.loads(self.bases["W(5,6)"]), path, value)
+        self._check(json.dumps(obj, separators=(",", ":") if compact else None))
+
+    @staticmethod
+    def _check(text):
+        rejected = _reference_rejects(text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for command in ("verify", "cardinality"):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([command, path])
+                err = err.getvalue()
+                assert code in (0, 1, 2), (command, code)
+                assert (code == 2) == rejected, (command, code, err)
+                if code:
+                    assert err.count("\n") == 1 and err.endswith("\n"), err
+                    assert "Traceback" not in err
+                else:
+                    assert err == ""
 
 
 class TestRangeAndClaims:

@@ -17,9 +17,12 @@ from qlatin.cli import main
 
 from test_acceptance import GENERATOR_IDS
 
-# (m, c) over m = 2, 3, 8: QLS8-low, QLS8-c57, QLS8-high, low, QLS12-c105,
-# high, and the low and high regimes at order 32
-SYNTH_TARGETS = ((2, 8), (2, 57), (2, 64), (3, 14), (3, 105), (3, 144), (8, 40), (8, 1000))
+# (m, c) over m = 2, 3, 8, 16: QLS8-low, QLS8-c57, QLS8-high, low, QLS12-c105,
+# high, the low and high regimes at order 32, and the high regime at order 64,
+# the largest order the cli_pipeline benchmark writes
+SYNTH_TARGETS = (
+    (2, 8), (2, 57), (2, 64), (3, 14), (3, 105), (3, 144), (8, 40), (8, 1000), (16, 4000)
+)
 
 
 def _stdout_digest(*argv: str) -> str:
@@ -47,6 +50,7 @@ GOLDEN = {
     "synth --m 3 --c 144": "f7ce97a01c8919f601be8ca9d5399f5ad9a021aecfe3c25904a3c217bf9fde66",
     "synth --m 8 --c 40": "35ae1abe5885b31d002ea94da76252e0807035991081b6ce1c311cd448b29aee",
     "synth --m 8 --c 1000": "c383bbaf0c9323e68cdcc75f8119e7947fc20355ac1996bde7c19fd463f1eb3d",
+    "synth --m 16 --c 4000": "536ce252cdf3d6157fe408fcd10996179cd512402ec51392248d75bdbff4da99",
     "gen H(0)": "9748aec0bb64cce85607cdd5a54cf9b1891aca5e03c6a7060ffabcc3c6e9cdf0",
     "gen H(1)": "c9ff5920a34f008fac7eaee0cfd73db85c7577ad7c59595a6432320860a8acb0",
     "gen H(2)": "7fcbe7410d4cddbab20038ac7ec6f63736ab26085e683e4d0be9c6beffe011a0",

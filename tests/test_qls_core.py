@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import gc
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin.algebraic import sqrt_rational
+from qlatin.algebraic import RadExt, sqrt_rational
 from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
     QLSGrid,
@@ -23,7 +24,9 @@ from qlatin.qls_core import (
     grid_to_json_dict,
     verify_qls,
     verify_row_qlr,
+    _grid_from_canonical,
 )
+from qlatin.synthesis import execute_plan, plan_for
 from qlatin.vectors import QVector, basis_vector, canonicalize, vec_neg, vec_scale
 
 F = Fraction
@@ -128,7 +131,9 @@ class TestSerialization:
 
     def test_pretty_output_parses_identically(self):
         g = make_H(3)
-        assert grid_from_json(grid_to_json(g, pretty=True)) == g
+        pretty = json.dumps(grid_to_json_dict(g), indent=2)
+        assert _grid_from_canonical(pretty) is None  # read by the json.loads path
+        assert grid_from_json(pretty) == g
 
     def test_compact_json_is_deterministic(self):
         g = cyclic_grid(3)
@@ -168,12 +173,14 @@ class TestSerialization:
 
     @pytest.mark.parametrize("enabled", [True, False])
     def test_gc_state_is_restored(self, enabled):
-        text = grid_to_json(make_W(5, 6))
+        g = make_W(5, 6)
+        text = grid_to_json(g)
+        pretty = json.dumps(grid_to_json_dict(g), indent=2)
         malformed = [text.replace('"order":', '"order":-', 1), "[" * 100_000]
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
-            assert grid_to_json(grid_from_json(text), pretty=True)
+            assert grid_from_json(text) == grid_from_json(pretty) == g
             assert gc.isenabled() is enabled
             for bad in malformed:
                 with pytest.raises(ValueError):
@@ -181,6 +188,71 @@ class TestSerialization:
                 assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_writer_matches_reference(self, data):
+        g = data.draw(_grids())
+        text = grid_to_json(g)
+        assert text == _reference_json(g)
+        again = _grid_from_canonical(text)  # the writer's output takes the streamed path
+        assert again == g and again.provenance == g.provenance
+
+    def test_parse_memory_is_linear_in_the_text(self):
+        # order 32: the json.loads tree costs about 20x the text
+        text = grid_to_json(execute_plan(plan_for(8, 1000)))
+        tracemalloc.start()
+        try:
+            assert grid_from_json(text).order == 32
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text), (peak, len(text))
+
+
+def _reference_json(g: QLSGrid) -> str:
+    return json.dumps(grid_to_json_dict(g), separators=(",", ":")) + "\n"
+
+
+def _reference_parse(text: str) -> QLSGrid:
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("grid JSON is nested too deeply") from None
+    return grid_from_json_dict(obj)
+
+
+def _outcome(parse, text):
+    """A parse's grid and provenance, or its error's class and message."""
+    try:
+        g = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return g, g.provenance
+
+
+_COEFFICIENTS = st.builds(
+    lambda a, b, p, q, d: RadExt({1: F(a, b), d: F(p, q)}),
+    st.integers(-3, 3),
+    st.integers(1, 9),
+    st.integers(-3, 3),
+    st.integers(1, 9),
+    st.sampled_from([2, 3, 5, 6, 8, 12]),
+)
+
+
+@st.composite
+def _grids(draw):
+    """Square arrays of a few random coefficients, not QLSs: mostly zeros, or
+    dense like W0."""
+    n = draw(st.integers(1, 5))
+    pool = draw(st.lists(_COEFFICIENTS, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pool += [0] * (3 * len(pool))
+    rng = draw(st.randoms(use_true_random=False))
+    prov = draw(st.one_of(st.text(max_size=8), st.sampled_from(['"', "\\", 'q"u\\o\u00e9\u2028'])))
+    cells = [[QVector([rng.choice(pool) for _ in range(n)]) for _ in range(n)] for _ in range(n)]
+    return QLSGrid(cells, provenance=prov)
 
 
 _JSON_VALUES = st.recursive(
@@ -204,27 +276,43 @@ def _mutate(node, path, value):
 class TestHostileJSON:
     """Parsing returns a grid or raises ValueError, and nothing else. A grid
     it returns writes back the same JSON value, so no value has a second
-    encoding."""
+    encoding. The streamed reader and the json.loads reference agree on
+    every text: the same grid, or the same error class and message."""
 
     valid = json.loads(grid_to_json(realize_generator("A(1/2)")))
 
-    @given(st.lists(st.integers(0, 50), max_size=7), _JSON_VALUES)
+    @given(st.lists(st.integers(0, 50), max_size=7), _JSON_VALUES, st.booleans())
     @settings(deadline=None, max_examples=300)
-    def test_mutated_structure(self, path, value):
-        self._check(json.dumps(_mutate(self.valid, path, value)))
+    def test_mutated_structure(self, path, value, compact):
+        # the compact separators keep the writer's layout, so the streamed reader runs
+        separators = (",", ":") if compact else None
+        self._check(json.dumps(_mutate(self.valid, path, value), separators=separators))
 
-    @given(st.integers(0, 10_000), st.integers(0, 3), st.text(alphabet='[]{}",:-0123456789tx ', max_size=4))
+    @given(
+        st.sampled_from(["A(1/2)", "W(5,6)"]),
+        st.integers(0, 10_000),
+        st.integers(0, 3),
+        st.text(alphabet='[]{}",:-0123456789tx ', max_size=4),
+    )
     @settings(deadline=None, max_examples=300)
-    def test_mutated_text(self, at, cut, insert):
-        text = grid_to_json(realize_generator("A(1/2)"))
+    def test_mutated_text(self, gid, at, cut, insert):
+        text = grid_to_json(realize_generator(gid))
         at %= len(text)
         self._check(text[:at] + insert + text[at + cut:])
 
+    def test_canonical_text(self):
+        self._check(grid_to_json(realize_generator("A(1/2)")))
+        self._check(grid_to_json(realize_generator("A(1/2)")).rstrip("\n") + " \t\r\n")
+
     @staticmethod
     def _check(text):
+        got = _outcome(grid_from_json, text)
+        assert got == _outcome(_reference_parse, text)
         try:
-            g = grid_from_json(text)
-        except ValueError:
-            return
-        assert isinstance(g, QLSGrid)
-        assert json.loads(grid_to_json(g)) == json.loads(text)
+            streamed = _grid_from_canonical(text)
+        except (ValueError, RecursionError):
+            streamed = None
+        if streamed is not None:
+            assert (streamed, streamed.provenance) == got
+        if isinstance(got[0], QLSGrid):
+            assert json.loads(grid_to_json(got[0])) == json.loads(text)
