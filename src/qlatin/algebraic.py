@@ -11,33 +11,27 @@ to an exact dyadic interval and doubling the precision until zero is excluded.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
 
-DEFAULT_TRIAL_DIVISION_BOUND = 1_000_000
-
-#: Largest trial divisor used by squarefree_decompose.  Overridable through the
-#: QLS_TRIAL_DIVISION_BOUND environment variable, read once at import.
-TRIAL_DIVISION_BOUND = int(
-    os.environ.get("QLS_TRIAL_DIVISION_BOUND", DEFAULT_TRIAL_DIVISION_BOUND)
-)
+#: Largest trial divisor used by squarefree_decompose; fixed, so one input has
+#: one answer.  A radicand that needs more is a ValueError (the CLI exits 2).
+TRIAL_DIVISION_BOUND = 1_000_000
 
 _SIGN_START_BITS = 64
 
 
 @lru_cache(maxsize=4096)
-def _decompose(n: int, bound: int) -> tuple[int, int]:
+def _decompose(n: int) -> tuple[int, int]:
     s, d = 1, 1
     p = 2
     while p * p <= n:
-        if p > bound:
+        if p > TRIAL_DIVISION_BOUND:
             raise ValueError(
-                f"cannot factor {n}: divisor exceeds trial division bound {bound} "
-                "(raise QLS_TRIAL_DIVISION_BOUND)"
+                f"cannot factor {n}: divisor exceeds trial division bound {TRIAL_DIVISION_BOUND}"
             )
         if n % p == 0:
             e = 0
@@ -54,11 +48,11 @@ def _decompose(n: int, bound: int) -> tuple[int, int]:
     return s, d
 
 
-def squarefree_decompose(n: int, bound: int | None = None) -> tuple[int, int]:
+def squarefree_decompose(n: int) -> tuple[int, int]:
     """Split n > 0 as s*s*d with d squarefree; returns (s, d)."""
     if n <= 0:
         raise ValueError(f"radicand must be positive, got {n}")
-    return _decompose(n, TRIAL_DIVISION_BOUND if bound is None else bound)
+    return _decompose(n)
 
 
 def _mul_into(

@@ -35,8 +35,10 @@ from .generators import (
     y_matrices,
 )
 from .qls_core import (
+    RowQLR,
     cardinality,
     canonical_set,
+    check_orthonormal,
     count_new_elements,
     distinct_elements,
     verify_qls,
@@ -56,19 +58,25 @@ from .synthesis import (
     synth_qls8,
     valid_cardinalities,
 )
-from .vectors import QVector, basis_vector, canonicalize, inner_product, ket, phase_equal
+from .vectors import QVector, basis_vector, canonicalize, ket, phase_equal
 
 F = Fraction
 
 
+# the W(2k-1,2k) squares checked, k = 1..W_PAIRWISE_BOUND
+W_PAIRWISE_BOUND = 10
+# the m at which coverage, reachable sums and tail disjointness are checked
+COVERAGE_M = (3, 4, 5)
+DP_M = (3, 4, 5, 6, 7, 8)
+DISJOINT_M = (3, 4, 5)
+
+
 @dataclass(frozen=True)
 class ClaimConfig:
+    """What the command line sets: `--witness-bound` and `--m`."""
+
     witness_bound: int = 4
-    w_pairwise_bound: int = 10
     sweep_m: tuple[int, ...] = (2, 3)
-    coverage_m: tuple[int, ...] = (3, 4, 5)
-    dp_m: tuple[int, ...] = (3, 4, 5, 6, 7, 8)
-    disjoint_m: tuple[int, ...] = (3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -86,11 +94,11 @@ def _witness_values(bound: int) -> tuple[Fraction, ...]:
 
 def _claim_alpha_basis(cfg: ClaimConfig):
     alphas = make_alpha_basis()
-    for i in range(4):
-        for j in range(4):
-            want = 1 if i == j else 0
-            if inner_product(alphas[i], alphas[j]) != want:
-                return False, f"<alpha{i + 1},alpha{j + 1}> != {want}"
+    bad = check_orthonormal(alphas)
+    if bad is not None:
+        # ("unit", 0, p) or ("row", 0, p, q)
+        p, q = bad.location[2], bad.location[-1]
+        return False, f"<alpha{p + 1},alpha{q + 1}> != {int(p == q)}"
     if alphas[0] != ket("00"):
         return False, "first basis vector is not |00>"
     return True, "orthonormal quadruple; first vector is |00>"
@@ -104,11 +112,10 @@ def _claim_rotation_blocks(cfg: ClaimConfig):
     vals = _witness_values(cfg.witness_bound)
     for fam in "ABCD":
         for a in vals:
-            (v0, v1), _ = make_block(fam, a)
-            if inner_product(v0, v0) != 1 or inner_product(v1, v1) != 1:
-                return False, f"{fam}({a}): non-unit cell"
-            if not inner_product(v0, v1).is_zero:
-                return False, f"{fam}({a}): row not orthogonal"
+            bad = check_orthonormal(make_block(fam, a)[0])
+            if bad is not None:
+                what = "non-unit cell" if bad.location[0] == "unit" else "row not orthogonal"
+                return False, f"{fam}({a}): {what}"
     return True, f"4 families x {len(vals)} parameters, all rows orthonormal"
 
 
@@ -222,14 +229,9 @@ def _claim_y_orthonormal(cfg: ClaimConfig):
 
 
 def _columns_form_bases(mats) -> bool:
-    for j in range(4):
-        cols = [QVector([m[p][j] for p in range(4)]) for m in mats]
-        for p in range(4):
-            for q in range(4):
-                want = 1 if p == q else 0
-                if inner_product(cols[p], cols[q]) != want:
-                    return False
-    return True
+    """For each j, the j-th columns of the matrices are orthonormal."""
+    families = zip(*(columns_as_vectors(m) for m in mats))
+    return all(check_orthonormal(family) is None for family in families)
 
 
 def _claim_x_column_bases(cfg: ClaimConfig):
@@ -268,8 +270,6 @@ def _claim_product_multiplicative(cfg: ClaimConfig):
                     cardinality(g).cardinality))
     # classical cyclic rectangles: an m x n over H_n and an n x m over H_m
     for m, n in ((2, 3), (3, 2), (2, 4)):
-        from .qls_core import RowQLR
-
         u = RowQLR([[basis_vector(n, (i + j) % n) for j in range(n)] for i in range(m)])
         v = RowQLR([[basis_vector(m, (i + j) % m) for j in range(m)] for i in range(n)])
         g = product_construct(u, v, f"cyclic {m}x{n}")
@@ -281,25 +281,25 @@ def _claim_product_multiplicative(cfg: ClaimConfig):
 
 
 def _claim_w_family_qls(cfg: ClaimConfig):
-    for k in range(1, cfg.w_pairwise_bound + 1):
+    for k in range(1, W_PAIRWISE_BOUND + 1):
         g = make_W(2 * k - 1, 2 * k)
         if not verify_qls(g).ok:
             return False, f"W({2 * k - 1},{2 * k}) failed verification"
         if cardinality(g).cardinality != 16:
             return False, f"W({2 * k - 1},{2 * k}) is not maximal"
-    return True, f"W(2k-1,2k) verified with cardinality 16 for k = 1..{cfg.w_pairwise_bound}"
+    return True, f"W(2k-1,2k) verified with cardinality 16 for k = 1..{W_PAIRWISE_BOUND}"
 
 
 def _claim_w_family_distinct(cfg: ClaimConfig):
     sets = {
         k: distinct_elements(make_W(2 * k - 1, 2 * k))
-        for k in range(1, cfg.w_pairwise_bound + 1)
+        for k in range(1, W_PAIRWISE_BOUND + 1)
     }
     for k in sets:
         for t in sets:
             if k < t and len(sets[k] | sets[t]) != 32:
                 return False, f"k={k}, t={t}: union has {len(sets[k] | sets[t])} elements"
-    return True, f"all pairs k < t <= {cfg.w_pairwise_bound} give 32 distinct elements"
+    return True, f"all pairs k < t <= {W_PAIRWISE_BOUND} give 32 distinct elements"
 
 
 def _claim_w56_w78_vs_h(cfg: ClaimConfig):
@@ -547,7 +547,7 @@ def _claim_qls12_c105(cfg: ClaimConfig):
 
 
 def _claim_low_sum_range(cfg: ClaimConfig):
-    for m in cfg.dp_m:
+    for m in DP_M:
         reach = low_x1_sumset(m)
         window = frozenset(range(0, 16 * m - 7)) - {1, 16 * m - 15}
         if reach & frozenset(range(0, 16 * m - 7)) != window:
@@ -555,24 +555,24 @@ def _claim_low_sum_range(cfg: ClaimConfig):
         if reach - frozenset(range(0, 16 * m - 7)) != {16 * m}:
             return False, f"m={m}: values beyond the window are {sorted(reach - set(range(16 * m - 7)))}"
     return True, (
-        f"m in {list(cfg.dp_m)}: within [0,16m-8] the reachable sums are exactly "
+        f"m in {list(DP_M)}: within [0,16m-8] the reachable sums are exactly "
         "the window minus {1, 16m-15}; the all-maximal choice adds the single "
         "extra value 16m above the window"
     )
 
 
 def _claim_high_sum_range(cfg: ClaimConfig):
-    for m in cfg.dp_m:
+    for m in DP_M:
         reach = high_x1_sumset(m)
         want = frozenset(range(0, 16 * m + 1)) - {1, 3, 5, 7, 9, 11, 13}
         if reach != want:
             return False, f"m={m}: symmetric difference {sorted(reach ^ want)}"
-    return True, f"m in {list(cfg.dp_m)}: reachable sums equal [0,16m] minus the seven small odds"
+    return True, f"m in {list(DP_M)}: reachable sums equal [0,16m] minus the seven small odds"
 
 
 def _claim_coverage_union(cfg: ClaimConfig):
     notes = []
-    for m in cfg.coverage_m:
+    for m in COVERAGE_M:
         rng = valid_cardinalities(m)  # raises if the union misses the target set
         if m == 3:
             in_low = 105 in rng.low_reachable
@@ -581,7 +581,7 @@ def _claim_coverage_union(cfg: ClaimConfig):
                 f"m=3: 105 ({'also' if in_low else 'not'} low-reachable by the sums), "
                 f"high offset 25 {'reachable (2+8+15)' if off25 else 'unreachable'}"
             )
-    detail = f"m in {list(cfg.coverage_m)}: regimes plus specials cover the full range"
+    detail = f"m in {list(COVERAGE_M)}: regimes plus specials cover the full range"
     if notes:
         detail += "; " + "; ".join(notes)
     return True, detail
@@ -594,7 +594,7 @@ def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
         *(distinct_elements(make_Wk(k)) for k in range(1, 5)),
         *(distinct_elements(make_Hprime(l)) for l in (2, 4, 6, 8)),
     )
-    for m in cfg.disjoint_m:
+    for m in DISJOINT_M:
         tails = [distinct_elements(make_W(2 * i + 3, 2 * i + 4)) for i in range(1, m)]
         union = frozenset().union(*tails)
         if len(union) != 16 * (m - 1):
@@ -604,7 +604,7 @@ def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
         if union & high_base:
             return False, f"m={m}: {len(union & high_base)} tail elements occur among the W/Hprime blocks"
     return True, (
-        f"m in {list(cfg.disjoint_m)}: the 16(m-1) tail elements are pairwise "
+        f"m in {list(DISJOINT_M)}: the 16(m-1) tail elements are pairwise "
         "distinct and avoid both regimes' base blocks"
     )
 

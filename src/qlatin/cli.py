@@ -83,12 +83,8 @@ def _cmd_range(args: argparse.Namespace) -> int:
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
-    kwargs = {}
-    if args.witness_bound is not None:
-        kwargs["witness_bound"] = args.witness_bound
-    if args.m:
-        kwargs["sweep_m"] = tuple(args.m)
-    results = run_all_claims(ClaimConfig(**kwargs))
+    sweep_m = tuple(args.m) if args.m else ClaimConfig.sweep_m
+    results = run_all_claims(ClaimConfig(args.witness_bound, sweep_m))
     sys.stdout.write(report_json(results) if args.format == "json" else report_text(results))
     return 0 if all(r.status == "pass" for r in results) else 1
 
@@ -125,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_range)
 
     p = sub.add_parser("claims", help="re-derive and report every recorded claim")
-    p.add_argument("--witness-bound", type=int, default=None)
+    p.add_argument("--witness-bound", type=int, default=ClaimConfig.witness_bound)
     p.add_argument("--m", type=int, action="append", help="sweep order parameter; repeatable")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=_cmd_claims)

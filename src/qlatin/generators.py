@@ -15,8 +15,8 @@ from functools import lru_cache, partial
 from typing import Callable, Container, NamedTuple, Sequence, Union
 
 from .algebraic import RadExt, sqrt_rational
-from .qls_core import QLSGrid, RowQLR, verify_row_qlr
-from .vectors import QVector, inner_product, ket, tensor, vec_add, vec_scale
+from .qls_core import QLSGrid, RowQLR, check_orthonormal, verify_row_qlr
+from .vectors import QVector, ket, tensor, vec_add, vec_scale
 
 Scalar = Union[RadExt, Fraction, int]
 Matrix = tuple[tuple[Scalar, ...], ...]
@@ -45,12 +45,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_is_orthonormal(m: Matrix) -> bool:
     """M^T M = I, exactly: the columns are pairwise orthogonal unit vectors."""
-    cols = columns_as_vectors(m)
-    return all(
-        inner_product(cols[i], cols[j]) == (1 if i == j else 0)
-        for i in range(len(cols))
-        for j in range(i, len(cols))
-    )
+    return check_orthonormal(columns_as_vectors(m)) is None
 
 
 def columns_as_vectors(m: Matrix) -> tuple[QVector, ...]:

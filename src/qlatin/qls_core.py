@@ -29,7 +29,9 @@ Only the fallback pauses the cyclic garbage collector (restoring its
 previous state): the lists and dicts `json.loads` builds hold no cycles, so
 reference counting frees them, and the collector's passes over millions of
 young containers would cost more than the parse. Equal coefficients read
-from one grid are interned, so inner products hit their memo by identity.
+from one grid are one object, so inner products hit their memo by identity:
+a value has one encoding, which the streamed reader decodes once, and the
+fallback interns values on their validated triples.
 """
 
 from __future__ import annotations
@@ -159,6 +161,13 @@ def _check_units(rows: Sequence[Sequence[QVector]]) -> VerificationReport | None
                     location=("unit", r, c),
                 )
     return None
+
+
+def check_orthonormal(vectors: Sequence[QVector]) -> VerificationReport | None:
+    """The first violation of orthonormality among the vectors, checked as
+    the one row of a grid, or None: location ("unit", 0, p) for a non-unit
+    vector p, ("row", 0, p, q) for the first non-orthogonal pair p < q."""
+    return _check_units((vectors,)) or _check_lines("row", (vectors,))
 
 
 def verify_qls(g: QLSGrid) -> VerificationReport:
@@ -317,7 +326,7 @@ def _is_zero_run(text: str, start: int, stop: int) -> bool:
 
 
 def _canonical_cell(
-    text: str, pos: int, end: int, n: int, coeffs: dict[str, RadExt], interned: dict
+    text: str, pos: int, end: int, n: int, coeffs: dict[str, RadExt]
 ) -> tuple | None:
     """The (index, coefficient) pairs of the n coordinates text[pos:end], or
     None when they are not in the writer's layout. A coordinate text is
@@ -345,9 +354,7 @@ def _canonical_cell(
             triples, got = _raw_decode(text, nz)
             if got != stop:
                 return None
-            e = RadExt.from_triples(triples)
-            # interned on the value, as grid_from_json_dict does
-            e = coeffs[key] = interned.setdefault(tuple(map(tuple, triples)), e)
+            e = coeffs[key] = RadExt.from_triples(triples)
         pairs.append((i, e))
         i += 1
         if stop == end:
@@ -377,7 +384,6 @@ def _grid_from_canonical(text: str) -> QLSGrid | None:
     # what precedes each cell: the first row's "[", a new row's "],[", or ","
     first, new_row, next_cell = "[" + head, "],[" + head, "," + head
     coeffs: dict[str, RadExt] = {}
-    interned: dict = {}
     rows = []
     for r in range(n):
         row = []
@@ -387,7 +393,7 @@ def _grid_from_canonical(text: str) -> QLSGrid | None:
                 return None
             pos += len(lead)
             end = text.find("]}", pos)
-            pairs = None if end < 0 else _canonical_cell(text, pos, end, n, coeffs, interned)
+            pairs = None if end < 0 else _canonical_cell(text, pos, end, n, coeffs)
             if pairs is None:
                 return None
             row.append(QVector._raw(n, pairs))

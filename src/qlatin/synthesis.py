@@ -32,9 +32,6 @@ from .vectors import basis_vector, tensor
 S1_LOW = (0, 2, 3, 4, 5, 6, 7, 8, 16)
 S1_HIGH = (0, 2, 4, 6, 8, 12, 14, 15, 16)
 
-REGIMES = ("QLS8-low", "QLS8-high", "QLS8-c57", "low", "high", "QLS12-c105")
-
-
 #: Largest supported m (order 4 * MAX_M). Grid size, JSON size and verify
 #: time all grow polynomially in m, so one command line must not ask for more.
 MAX_M = 32
@@ -254,19 +251,12 @@ def _plan_low(m: int, c: int) -> SynthPlan:
     diagonals, xs = [], []
     for j in range(m):
         suffix = reachable_sums(diag_vals, m - 1 - j)
-        chosen = None
         # lexicographically smallest (x0, x1, high-slot count) that stays feasible
-        for x0 in (0, 1):
-            for x1 in S1_LOW:
-                for q in range(m - 1):
-                    t = 4 * x0 + x1 + 16 * q
-                    if rem - t in suffix:
-                        chosen = (x0, x1, q)
-                        break
-                if chosen:
-                    break
-            if chosen:
-                break
+        chosen = next(
+            ((x0, x1, q) for x0 in (0, 1) for x1 in S1_LOW for q in range(m - 1)
+             if rem - (4 * x0 + x1 + 16 * q) in suffix),
+            None,
+        )
         if chosen is None:
             raise RuntimeError(
                 f"low-regime decomposition failed for m={m}, c={c} (internal invariant)"

@@ -33,9 +33,10 @@ class TestSquarefreeDecompose:
             squarefree_decompose(-4)
 
     def test_bound_exceeded_is_loud(self):
-        # 1000003 is prime, so no divisor below the tiny bound exists
+        # 1000003 is prime and above the fixed bound, so no divisor up to
+        # the bound splits its square
         with pytest.raises(ValueError, match="trial division bound"):
-            squarefree_decompose(1000003**2, bound=1000)
+            squarefree_decompose(1000003**2)
 
     def test_large_prime_within_bound(self):
         # cofactor > bound is fine once all divisors up to sqrt are excluded

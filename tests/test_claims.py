@@ -45,13 +45,6 @@ def test_report_rendering(claims_results):
 
 
 def test_reduced_config_still_passes():
-    cfg = ClaimConfig(
-        witness_bound=2,
-        w_pairwise_bound=3,
-        sweep_m=(2,),
-        coverage_m=(3,),
-        dp_m=(3, 4),
-        disjoint_m=(3,),
-    )
+    cfg = ClaimConfig(witness_bound=2, sweep_m=(2,))
     results = run_all_claims(cfg)
     assert all(r.status == "pass" for r in results)

@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qlatin
 from qlatin.cli import main
 from qlatin.generators import realize_generator
 from qlatin.qls_core import grid_from_json, grid_to_json
@@ -90,6 +93,21 @@ class TestSynth:
         assert code == 0
         code, out3, _ = run_cli(capsys, "cardinality", str(path))
         assert code == 0 and out3.strip() == "100"
+
+    def test_environment_does_not_change_the_answer(self, capsys, tmp_path):
+        # the trial division bound is a constant: a variable in the
+        # environment, such as the bound's old override, changes nothing
+        _, out, _ = run_cli(capsys, "synth", "--m", "2", "--c", "64")
+        path = tmp_path / "g.json"
+        path.write_text(out)
+        src = os.path.dirname(os.path.dirname(qlatin.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "QLS_TRIAL_DIVISION_BOUND": "2"}
+        done = subprocess.run(
+            [sys.executable, "-m", "qlatin.cli", "verify", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.startswith("OK: order 8")
 
     def test_synth_is_byte_deterministic(self, capsys):
         _, first, err1 = run_cli(capsys, "synth", "--m", "2", "--c", "40")

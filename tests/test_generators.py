@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlatin import algebraic, generators
+from qlatin.claims import _columns_form_bases
 from qlatin.algebraic import sqrt_rational, squarefree_decompose
 from qlatin.generators import (
     J_MATRICES,
@@ -18,6 +21,8 @@ from qlatin.generators import (
     make_alpha_basis,
     make_block,
     mat_is_orthonormal,
+    mat_mul,
+    mat_transpose,
     parse_generator_id,
     product_construct,
     realize_generator,
@@ -89,6 +94,87 @@ class TestFixedMatrices:
                 assert mat_is_orthonormal(m)
         with pytest.raises(ValueError):
             wk_row_matrices(5)
+
+
+_TRIPLES = ((3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25))
+
+
+@st.composite
+def _orthonormal(draw, n):
+    """A signed n x n permutation times up to four Pythagorean-triple
+    rotations, each embedded in the identity on a drawn plane."""
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    m = tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n)) for i in range(n))
+    for _ in range(draw(st.integers(0, 4)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a, b, c = draw(st.sampled_from(_TRIPLES))
+        rot = [[int(r == s) for s in range(n)] for r in range(n)]
+        rot[i][i], rot[i][j], rot[j][i], rot[j][j] = F(a, c), F(-b, c), F(b, c), F(a, c)
+        m = mat_mul(m, mat_transpose(rot))
+    return m
+
+
+@st.composite
+def _matrix(draw, n, k):
+    """An n x k matrix and whether its columns are orthonormal by
+    construction: k orthonormal columns, one of them rescaled or turned
+    towards another, or k scaled basis vectors (disjoint supports)."""
+    kinds = ("orthonormal", "non-unit", "non-orthogonal", "disjoint")
+    kind = draw(st.sampled_from(kinds if k > 1 else kinds[:2] + kinds[3:]))
+    if kind == "disjoint":
+        rows = draw(st.permutations(range(n)))[:k]
+        scale = st.sampled_from((1, -1, 2, F(1, 2), F(-3, 5)))
+        scales = draw(st.lists(scale, min_size=k, max_size=k))
+        cols = [[scales[c] if r == rows[c] else 0 for r in range(n)] for c in range(k)]
+        return mat_transpose(cols), all(abs(s) == 1 for s in scales)
+    cols = [list(col) for col in mat_transpose(draw(_orthonormal(n)))[:k]]
+    j = draw(st.integers(0, k - 1))
+    if kind == "non-unit":
+        s = draw(st.sampled_from((0, 2, F(1, 2), F(-3, 5))))
+        cols[j] = [s * x for x in cols[j]]
+    elif kind == "non-orthogonal":
+        # still a unit vector, with inner product a/c with column i
+        i = draw(st.integers(0, k - 1).filter(lambda i: i != j))
+        a, b, c = draw(st.sampled_from(_TRIPLES))
+        cols[j] = [F(a, c) * y + F(b, c) * x for x, y in zip(cols[j], cols[i])]
+    return mat_transpose(cols), kind == "orthonormal"
+
+
+def _gram_reference(m) -> bool:
+    """M^T M = I, by the full table of column inner products."""
+    cols = columns_as_vectors(m)
+    return all(
+        inner_product(u, v) == (1 if p == q else 0)
+        for p, u in enumerate(cols)
+        for q, v in enumerate(cols)
+    )
+
+
+class TestOrthonormalCheck:
+    """The one orthonormality check, as the matrix and the column-family
+    checks use it, against the full Gram table."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_matrix_check(self, data):
+        n = data.draw(st.integers(1, 4))
+        m, want = data.draw(_matrix(n, data.draw(st.integers(1, n))))
+        assert mat_is_orthonormal(m) == _gram_reference(m) == want
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=100)
+    def test_column_family_check(self, data):
+        # family j of the matrices mats[0..k-1] is the columns of drawn[j]
+        n = data.draw(st.integers(1, 4))
+        k = data.draw(st.integers(1, n))
+        drawn = [data.draw(_matrix(n, k)) for _ in range(data.draw(st.integers(1, 4)))]
+        mats = [
+            mat_transpose([mat_transpose(m)[p] for m, _ in drawn]) for p in range(k)
+        ]
+        want = all(w for _, w in drawn)
+        reference = all(_gram_reference(m) for m, _ in drawn)
+        assert _columns_form_bases(mats) == reference == want
 
 
 class TestHFamilies:
