@@ -124,18 +124,6 @@ class RadExt(object):
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.terms or set(self.terms) == {1}
-
-    def as_fraction(self) -> Fraction:
-        """The value as a Fraction; raises if any irrational term remains."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {1}:
-            raise ValueError(f"{self} is irrational")
-        return self.terms[1]
-
     def __add__(self, other: "RadExt | Scalar") -> "RadExt":
         other = _coerce(other)
         if other is NotImplemented:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .algebraic import sqrt_rational
@@ -35,6 +36,7 @@ from .generators import (
     y_matrices,
 )
 from .qls_core import (
+    QLSGrid,
     RowQLR,
     cardinality,
     canonical_set,
@@ -44,10 +46,11 @@ from .qls_core import (
     verify_qls,
 )
 from .synthesis import (
-    SynthPlan,
     ImpossibleCardinalityError,
     _QLS8_OFFSETS,
     _QLS8_ROWS,
+    _check_m,
+    _qls8_low_plan,
     execute_plan,
     high_x1_sumset,
     low_x1_sumset,
@@ -55,10 +58,9 @@ from .synthesis import (
     plan_qls4m,
     plan_qls8,
     synth,
-    synth_qls8,
     valid_cardinalities,
 )
-from .vectors import QVector, basis_vector, canonicalize, ket, phase_equal
+from .vectors import QVector, basis_vector, format_vector, ket, phase_equal
 
 F = Fraction
 
@@ -78,6 +80,15 @@ class ClaimConfig:
     witness_bound: int = 4
     sweep_m: tuple[int, ...] = (2, 3)
 
+    def __post_init__(self):
+        # a bound below 1 leaves no witnesses, and a witness claim over none
+        # would pass vacuously
+        b = self.witness_bound
+        if not isinstance(b, int) or isinstance(b, bool) or b < 1:
+            raise ValueError(f"witness bound must be an integer >= 1, got {b!r}")
+        for m in self.sweep_m:
+            _check_m(m, 2)
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -90,6 +101,17 @@ class ClaimResult:
 def _witness_values(bound: int) -> tuple[Fraction, ...]:
     vals = {F(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
     return tuple(sorted(vals))
+
+
+def _witness_pairs(cfg: ClaimConfig) -> list[tuple[Fraction, Fraction]]:
+    """The ordered pairs (a, b) of distinct witness values."""
+    vals = _witness_values(cfg.witness_bound)
+    return [(a, b) for a in vals for b in vals if a != b]
+
+
+def _classes(*grids: QLSGrid) -> frozenset[QVector]:
+    """The phase classes of the grids together."""
+    return frozenset().union(*(distinct_elements(g) for g in grids))
 
 
 def _claim_alpha_basis(cfg: ClaimConfig):
@@ -138,56 +160,57 @@ def _claim_family_separation(cfg: ClaimConfig):
     )
 
 
+def _separation(cfg, family, apart, meets, where, shared, wrong, detail):
+    """family(a) never meets apart(x), and meets meets(x) exactly in the
+    one cell `shared` where where(a, x) holds, else not at all; `wrong`
+    ends the detail of an overlap that is not just that cell."""
+    vals = _witness_values(cfg.witness_bound)
+    sets = {f: {x: _block_set(f, x) for x in vals} for f in (apart, meets, family)}
+    want = canonical_set((shared,))
+    for a in vals:
+        for x in vals:
+            if sets[family][a] & sets[apart][x]:
+                return False, f"{family}({a}) meets {apart}({x})"
+            inter = sets[family][a] & sets[meets][x]
+            if where(a, x):
+                if inter != want:
+                    return False, f"{family}({a}) and {meets}({x}) share {len(inter)} elements, {wrong}"
+            elif inter:
+                return False, f"{family}({a}) meets {meets}({x})"
+    return True, f"{len(vals)}^2 pairs; {detail}"
+
+
 def _claim_c_vs_a_b(cfg: ClaimConfig):
-    vals = _witness_values(cfg.witness_bound)
-    a_sets = {x: _block_set("A", x) for x in vals}
-    b_sets = {x: _block_set("B", x) for x in vals}
-    c_sets = {x: _block_set("C", x) for x in vals}
-    only_00 = frozenset({ket("00")})
-    for a in vals:
-        for x in vals:
-            if c_sets[a] & b_sets[x]:
-                return False, f"C({a}) meets B({x})"
-            inter = c_sets[a] & a_sets[x]
-            if (a, x) == (0, 0):
-                if inter != only_00:
-                    return False, f"C(0) and A(0) share {len(inter)} elements, not just |00>"
-            elif inter:
-                return False, f"C({a}) meets A({x})"
-    return True, f"{len(vals)}^2 pairs; sole overlap is C(0)/A(0) at |00>"
-
-
-def _claim_d_vs_a_b(cfg: ClaimConfig):
-    vals = _witness_values(cfg.witness_bound)
-    a_sets = {x: _block_set("A", x) for x in vals}
-    b_sets = {x: _block_set("B", x) for x in vals}
-    d_sets = {x: _block_set("D", x) for x in vals}
-    half = sqrt_rational(F(1, 2))
-    shared = canonicalize(QVector([0, 0, half, -half]))
-    # (|10>-|11>)/sqrt(2) is the one line common to both planes; it sits in
-    # D(a) iff a = 1 or -1 and in B(x) iff x = 1 or -1
-    for a in vals:
-        for x in vals:
-            if d_sets[a] & a_sets[x]:
-                return False, f"D({a}) meets A({x})"
-            inter = d_sets[a] & b_sets[x]
-            if a in (1, -1) and x in (1, -1):
-                if inter != frozenset({shared}):
-                    return False, f"D({a}) and B({x}) share {len(inter)} elements, not the expected one"
-            elif inter:
-                return False, f"D({a}) meets B({x})"
-    return True, (
-        f"{len(vals)}^2 pairs; the only overlaps are D(+-1)/B(+-1), "
-        "each at (|10>-|11>)/sqrt(2) alone"
+    return _separation(
+        cfg, "C", "B", "A", lambda a, x: a == x == 0, ket("00"),
+        "not just |00>", "sole overlap is C(0)/A(0) at |00>",
     )
 
 
-def _claim_h_new_counts(cfg: ClaimConfig):
-    base = distinct_elements(make_H(0)) | distinct_elements(make_H(1))
-    counts = {ell: count_new_elements(make_H(ell), base) for ell in range(2, 9)}
+def _claim_d_vs_a_b(cfg: ClaimConfig):
+    # (|10>-|11>)/sqrt(2) is the one line common to both planes; it sits in
+    # D(a) iff a = 1 or -1 and in B(x) iff x = 1 or -1
+    half = sqrt_rational(F(1, 2))
+    return _separation(
+        cfg, "D", "A", "B", lambda a, x: a in (1, -1) and x in (1, -1),
+        QVector([0, 0, half, -half]), "not the expected one",
+        "the only overlaps are D(+-1)/B(+-1), each at (|10>-|11>)/sqrt(2) alone",
+    )
+
+
+def _adds_own_index(make, indices, base, detail):
+    """Each block make(ell) adds exactly ell classes beyond `base`."""
+    counts = {ell: count_new_elements(make(ell), base) for ell in indices}
     if any(counts[ell] != ell for ell in counts):
         return False, f"new-element counts {counts}"
-    return True, "H(2).. H(8) add exactly 2..8 elements beyond H(0) and H(1)"
+    return True, detail
+
+
+def _claim_h_new_counts(cfg: ClaimConfig):
+    return _adds_own_index(
+        make_H, range(2, 9), _classes(make_H(0), make_H(1)),
+        "H(2).. H(8) add exactly 2..8 elements beyond H(0) and H(1)",
+    )
 
 
 def _claim_h5_split(cfg: ClaimConfig):
@@ -203,11 +226,10 @@ def _claim_h5_split(cfg: ClaimConfig):
 
 
 def _claim_hprime_new_counts(cfg: ClaimConfig):
-    base = distinct_elements(make_W0())
-    counts = {ell: count_new_elements(make_Hprime(ell), base) for ell in (2, 4, 6, 8)}
-    if any(counts[ell] != ell for ell in counts):
-        return False, f"new-element counts {counts}"
-    return True, "Hprime(2,4,6,8) add exactly 2, 4, 6, 8 elements beyond W0"
+    return _adds_own_index(
+        make_Hprime, (2, 4, 6, 8), distinct_elements(make_W0()),
+        "Hprime(2,4,6,8) add exactly 2, 4, 6, 8 elements beyond W0",
+    )
 
 
 def _claim_fixed_matrices_orthonormal(cfg: ClaimConfig):
@@ -219,8 +241,7 @@ def _claim_fixed_matrices_orthonormal(cfg: ClaimConfig):
 
 
 def _claim_y_orthonormal(cfg: ClaimConfig):
-    vals = _witness_values(cfg.witness_bound)
-    pairs = [(a, b) for a in vals for b in vals if a != b]
+    pairs = _witness_pairs(cfg)
     for a, b in pairs:
         for idx, m in enumerate(y_matrices(a, b), start=1):
             if not mat_is_orthonormal(m):
@@ -241,8 +262,7 @@ def _claim_x_column_bases(cfg: ClaimConfig):
 
 
 def _claim_y_column_bases(cfg: ClaimConfig):
-    vals = _witness_values(cfg.witness_bound)
-    pairs = [(a, b) for a in vals for b in vals if a != b]
+    pairs = _witness_pairs(cfg)
     for a, b in pairs:
         if not _columns_form_bases(y_matrices(a, b)):
             return False, f"column families at (a,b)=({a},{b}) fail"
@@ -250,8 +270,7 @@ def _claim_y_column_bases(cfg: ClaimConfig):
 
 
 def _claim_w_display(cfg: ClaimConfig):
-    vals = _witness_values(cfg.witness_bound)
-    pairs = [(a, b) for a in vals for b in vals if a != b]
+    pairs = _witness_pairs(cfg)
     for a, b in pairs:
         grid = make_W(a, b)
         for i, y in enumerate(y_matrices(a, b)):
@@ -303,8 +322,8 @@ def _claim_w_family_distinct(cfg: ClaimConfig):
 
 
 def _claim_w56_w78_vs_h(cfg: ClaimConfig):
-    h_union = frozenset().union(*(distinct_elements(make_H(l)) for l in range(9)))
-    w = distinct_elements(make_W(5, 6)) | distinct_elements(make_W(7, 8))
+    h_union = _classes(*map(make_H, range(9)))
+    w = _classes(make_W(5, 6), make_W(7, 8))
     if len(w) != 32:
         return False, f"the two tail squares share elements ({len(w)} distinct)"
     if w & h_union:
@@ -444,55 +463,39 @@ def _claim_displayed_products(cfg: ClaimConfig):
     return True, "16 displayed product matrices match entry for entry (256 entries)"
 
 
-def _p_intersection(g1, g2, expected_cells):
-    inter = distinct_elements(g1) & distinct_elements(g2)
-    want = canonical_set(expected_cells)
-    return inter == want, inter
-
-
-def _claim_w0_meet_w1(cfg: ClaimConfig):
-    ok, inter = _p_intersection(make_W0(), make_Wk(1), [ket("11")])
-    if not ok:
-        return False, f"intersection has {len(inter)} elements, expected exactly |11>"
-    return True, "W0 and W1 share exactly one element, |11>"
-
-
-def _claim_w0_meet_w2(cfg: ClaimConfig):
-    expected = [
+# (claim id, left block, right block, the cells they share, pass detail)
+_MEETS = (
+    ("wk/w0-meet-w1", make_W0, partial(make_Wk, 1), (ket("11"),),
+     "W0 and W1 share exactly one element, |11>"),
+    ("wk/w0-meet-w2", make_W0, partial(make_Wk, 2), (
         ket("10"),
         ket("11"),
         QVector([0, 0, F(-12, 13), F(5, 13)]),
         QVector([0, 0, F(5, 13), F(12, 13)]),
-    ]
-    ok, inter = _p_intersection(make_W0(), make_Wk(2), expected)
-    if not ok:
-        return False, f"intersection has {len(inter)} elements or wrong members"
-    return True, "W0 and W2 share exactly the four listed elements"
-
-
-def _claim_w0_meet_w3(cfg: ClaimConfig):
-    expected = [ket("11"), QVector([F(5, 13), F(12, 13), 0, 0])]
-    ok, inter = _p_intersection(make_W0(), make_Wk(3), expected)
-    if not ok:
-        return False, f"intersection has {len(inter)} elements or wrong members"
-    return True, "W0 and W3 share exactly |11> and (5/13)|00>+(12/13)|01>"
-
-
-def _claim_w2_meet_w4(cfg: ClaimConfig):
+    ), "W0 and W2 share exactly the four listed elements"),
+    ("wk/w0-meet-w3", make_W0, partial(make_Wk, 3), (ket("11"), QVector([F(5, 13), F(12, 13), 0, 0])),
+     "W0 and W3 share exactly |11> and (5/13)|00>+(12/13)|01>"),
     # the top-plane pair is read off the displayed products: column 4 of
     # the first W2 row matrix and column 3 of the first W4 row matrix
-    expected = [
+    ("wk/w2-meet-w4", partial(make_Wk, 2), partial(make_Wk, 4), (
         ket("10"),
         ket("11"),
         QVector([F(63, 65), F(16, 65), 0, 0]),
         QVector([F(-16, 65), F(63, 65), 0, 0]),
         QVector([0, 0, F(-12, 13), F(5, 13)]),
         QVector([0, 0, F(5, 13), F(12, 13)]),
-    ]
-    ok, inter = _p_intersection(make_Wk(2), make_Wk(4), expected)
-    if not ok:
-        return False, f"intersection has {len(inter)} elements or wrong members"
-    return True, "W2 and W4 share exactly the six listed elements"
+    ), "W2 and W4 share exactly the six listed elements"),
+)
+
+
+def _claim_meet(left, right, cells, detail, cfg: ClaimConfig):
+    inter = distinct_elements(left()) & distinct_elements(right())
+    if inter != canonical_set(cells):
+        # a one-cell meet names its cell
+        want = (f", expected exactly {format_vector(cells[0], ('00', '01', '10', '11'))}"
+                if len(cells) == 1 else " or wrong members")
+        return False, f"intersection has {len(inter)} elements{want}"
+    return True, detail
 
 
 def _claim_w56_vs_w0(cfg: ClaimConfig):
@@ -503,26 +506,15 @@ def _claim_w56_vs_w0(cfg: ClaimConfig):
 
 
 def _claim_qls8_layout_table(cfg: ClaimConfig):
-    built = 0
-    for base, tl, tr, bl in _QLS8_ROWS:
-        for ell in _QLS8_OFFSETS:
-            plan = SynthPlan(
-                m=2,
-                target_c=base + ell,
-                regime="QLS8-low",
-                diagonals=((tl, f"H({ell})"), (tr, bl)),
-                witness={"base": base, "new_in_last_block": ell, "total": base + ell},
-            )
-            execute_plan(plan)  # raises if the count misses base + ell
-            built += 1
-    return True, f"{built} layout/offset combinations all count to base plus offset"
+    plans = [_qls8_low_plan(*row, ell) for row in _QLS8_ROWS for ell in _QLS8_OFFSETS]
+    for plan in plans:
+        execute_plan(plan)  # raises if the count misses base + ell
+    return True, f"{len(plans)} layout/offset combinations all count to base plus offset"
 
 
 def _claim_qls8_c57(cfg: ClaimConfig):
     execute_plan(plan_qls8(57))
-    w0, w1 = distinct_elements(make_W0()), distinct_elements(make_Wk(1))
-    w2, w4 = distinct_elements(make_Wk(2)), distinct_elements(make_Wk(4))
-    split = (len(w0 | w1), len(w2 | w4))
+    split = (len(_classes(make_W0(), make_Wk(1))), len(_classes(make_Wk(2), make_Wk(4))))
     if split != (31, 26):
         return False, f"per-prefix counts {split}, expected (31, 26)"
     return True, "the fixed square counts to 57 = 31 + 26"
@@ -533,7 +525,7 @@ def _claim_qls8_full_range(cfg: ClaimConfig):
     for c in range(8, 65):
         if c == 9:
             continue
-        synth_qls8(c)
+        synth(2, c)
         built += 1
     return True, f"all {built} targets in [8,64] minus 9 verified and counted"
 
@@ -588,15 +580,10 @@ def _claim_coverage_union(cfg: ClaimConfig):
 
 
 def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
-    low_base = frozenset().union(*(distinct_elements(make_H(l)) for l in range(9)))
-    high_base = frozenset().union(
-        distinct_elements(make_W0()),
-        *(distinct_elements(make_Wk(k)) for k in range(1, 5)),
-        *(distinct_elements(make_Hprime(l)) for l in (2, 4, 6, 8)),
-    )
+    low_base = _classes(*map(make_H, range(9)))
+    high_base = _classes(make_W0(), *map(make_Wk, range(1, 5)), *map(make_Hprime, (2, 4, 6, 8)))
     for m in DISJOINT_M:
-        tails = [distinct_elements(make_W(2 * i + 3, 2 * i + 4)) for i in range(1, m)]
-        union = frozenset().union(*tails)
+        union = _classes(*(make_W(2 * i + 3, 2 * i + 4) for i in range(1, m)))
         if len(union) != 16 * (m - 1):
             return False, f"m={m}: tail squares overlap ({len(union)} distinct)"
         if union & low_base:
@@ -665,10 +652,7 @@ CLAIMS: tuple[Claim, ...] = (
     ("w-family/tails-avoid-h-blocks", "exact", _claim_w56_w78_vs_h),
     ("w0/product-cross-check", "exact", _claim_w0_cross_check),
     ("wk/displayed-product-matrices", "exact", _claim_displayed_products),
-    ("wk/w0-meet-w1", "exact", _claim_w0_meet_w1),
-    ("wk/w0-meet-w2", "exact", _claim_w0_meet_w2),
-    ("wk/w0-meet-w3", "exact", _claim_w0_meet_w3),
-    ("wk/w2-meet-w4", "exact", _claim_w2_meet_w4),
+    *((cid, "exact", partial(_claim_meet, *meet)) for cid, *meet in _MEETS),
     ("wk/w56-outside-w0", "exact", _claim_w56_vs_w0),
 )
 

@@ -6,10 +6,13 @@ and every row and every column is pairwise orthogonal; n orthonormal
 vectors in dimension n are automatically a basis. Within a line, only the
 pairs of cells that share a nonzero coordinate are tested, in ascending
 (p, q) order: a pair with disjoint supports is orthogonal by structure, and
-the first violation found is the one a scan of all pairs finds. Cardinality
-counts phase-equivalence classes of the cells by canonical form; an
-independent oracle recounts them by exact inner products, bucketed on each
-cell's support and squared coefficients, without the canonical form.
+the first violation found is the one a scan of all pairs finds. A row
+rectangle passes when its cells are units and each row is orthogonal; its
+columns are not checked, so repeated rows pass. Cardinality is the size of
+the set of phase-equivalence classes of the cells, each class held as its
+canonical form (`canonical_set`); an independent oracle recounts them by
+exact inner products, bucketed on each cell's support and squared
+coefficients, without the canonical form.
 
 Grid JSON costs time and memory in proportion to a grid's nonzero
 coordinates, not its n^3 coordinates, and its bytes are those of
@@ -47,7 +50,6 @@ from .vectors import (
     QVector,
     canonicalize,
     inner_product,
-    phase_equal,
     phase_equal_by_inner,
     _vector_from_json_dict,
     vector_to_json_dict,
@@ -62,14 +64,13 @@ class VerificationReport:
     message: str | None = None
     # ("unit", row, col) or ("row"|"col", index, first_pos, second_pos)
     location: tuple | None = None
-    duplicate_rows: tuple[tuple[int, int], ...] = ()
 
 
 @dataclass(frozen=True)
 class CardinalityReport:
     cardinality: int
-    # class representatives in first-appearance (row-major) order
-    classes: tuple[tuple[QVector, tuple[tuple[int, int], ...]], ...] = field(repr=False)
+    # the canonical representative of each phase class, as canonical_set gives
+    classes: frozenset[QVector] = field(repr=False)
 
 
 class QLSGrid(object):
@@ -185,16 +186,8 @@ def verify_qls(g: QLSGrid) -> VerificationReport:
 
 
 def verify_row_qlr(r: RowQLR) -> VerificationReport:
-    """Rows must be orthonormal; duplicate rows pass but are flagged."""
-    bad = _check_units(r.cells) or _check_lines("row", r.cells)
-    if bad is not None:
-        return bad
-    dups = []
-    for i in range(r.rows):
-        for j in range(i + 1, r.rows):
-            if all(phase_equal(a, b) for a, b in zip(r.cells[i], r.cells[j])):
-                dups.append((i, j))
-    return VerificationReport(ok=True, duplicate_rows=tuple(dups))
+    """Rows must be orthonormal; columns are unchecked, so repeated rows pass."""
+    return _check_units(r.cells) or _check_lines("row", r.cells) or VerificationReport(ok=True)
 
 
 def cardinality(g: QLSGrid) -> CardinalityReport:
@@ -203,14 +196,8 @@ def cardinality(g: QLSGrid) -> CardinalityReport:
         return g._card_report
     if not verify_qls(g).ok:
         raise ValueError(f"grid is not a QLS: {verify_qls(g).message}")
-    classes: dict[QVector, list[tuple[int, int]]] = {}
-    for r, row in enumerate(g.cells):
-        for c, v in enumerate(row):
-            classes.setdefault(canonicalize(v), []).append((r, c))
-    report = CardinalityReport(
-        cardinality=len(classes),
-        classes=tuple((rep, tuple(pos)) for rep, pos in classes.items()),
-    )
+    classes = canonical_set(v for row in g.cells for v in row)
+    report = CardinalityReport(cardinality=len(classes), classes=classes)
     g._card_report = report
     return report
 
@@ -240,7 +227,7 @@ def canonical_set(cells: Iterable[QVector]) -> frozenset[QVector]:
 
 
 def distinct_elements(g: QLSGrid) -> frozenset[QVector]:
-    return frozenset(rep for rep, _ in cardinality(g).classes)
+    return cardinality(g).classes
 
 
 def count_new_elements(g: QLSGrid, baseline: Iterable[QVector]) -> int:

@@ -181,19 +181,23 @@ def _check_range(m: int, c: int) -> None:
         raise ImpossibleCardinalityError(impossibility_message(m))
 
 
+def _qls8_low_plan(base: int, tl: str, tr: str, bl: str, ell: int) -> SynthPlan:
+    """The QLS(8) of a layout row with H(ell) bottom right: base + ell classes."""
+    return SynthPlan(
+        m=2,
+        target_c=base + ell,
+        regime="QLS8-low",
+        diagonals=((tl, f"H({ell})"), (tr, bl)),
+        witness={"base": base, "new_in_last_block": ell, "total": base + ell},
+    )
+
+
 def plan_qls8(c: int) -> SynthPlan:
     _check_range(2, c)
     if c <= 48:
         for base, tl, tr, bl in _QLS8_ROWS:
-            ell = c - base
-            if ell in _QLS8_OFFSETS:
-                return SynthPlan(
-                    m=2,
-                    target_c=c,
-                    regime="QLS8-low",
-                    diagonals=((tl, f"H({ell})"), (tr, bl)),
-                    witness={"base": base, "new_in_last_block": ell, "total": c},
-                )
+            if c - base in _QLS8_OFFSETS:
+                return _qls8_low_plan(base, tl, tr, bl, c - base)
         raise RuntimeError(f"no layout row reaches cardinality {c}")
     if c == 57:
         return SynthPlan(
@@ -378,10 +382,6 @@ def synth(m: int, c: int) -> tuple[SynthPlan, QLSGrid]:
     return plan, execute_plan(plan)
 
 
-def synth_qls8(c: int) -> QLSGrid:
-    return execute_plan(plan_qls8(c))
-
-
 @dataclass(frozen=True)
 class CardinalityRange:
     """The attainable cardinalities for order 4m, with the per-regime
@@ -394,9 +394,6 @@ class CardinalityRange:
     low_reachable: frozenset[int]
     high_reachable: frozenset[int]
     specials: frozenset[int]
-
-    def contains(self, c: int) -> bool:
-        return self.lo <= c <= self.hi and c != self.excluded
 
     def describe(self) -> str:
         return f"[{self.lo},{self.hi}] excluding {self.excluded}"

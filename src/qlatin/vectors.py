@@ -145,10 +145,6 @@ def inner_product(u: QVector, v: QVector) -> RadExt:
     return got
 
 
-def is_unit(v: QVector) -> bool:
-    return inner_product(v, v) == ONE
-
-
 def tensor(u: QVector, v: QVector) -> QVector:
     """Tensor product with u-major coordinate order: entry p*dim(v)+q is u_p*v_q."""
     dv = v.dim

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from qlatin import claims, qls_core
 from qlatin.claims import (
     CLAIMS,
     DISPLAYED_PRODUCTS,
@@ -48,3 +51,82 @@ def test_reduced_config_still_passes():
     cfg = ClaimConfig(witness_bound=2, sweep_m=(2,))
     results = run_all_claims(cfg)
     assert all(r.status == "pass" for r in results)
+
+
+# Fail details, which the golden digest (passing output only) cannot see.
+# Each claim is forced to fail by adding a made-up class to the sets it
+# compares; the detail must name what went wrong exactly as before.
+
+_SMALL = ClaimConfig(witness_bound=1, sweep_m=(2,))
+
+
+def _claim(claim_id):
+    return next(fn for cid, _, fn in CLAIMS if cid == claim_id)
+
+
+@pytest.mark.parametrize(
+    "claim_id,marked,detail",
+    [
+        ("separations/c-vs-a-and-b", {("C", 0), ("A", 0)}, "C(0) and A(0) share 2 elements, not just |00>"),
+        ("separations/c-vs-a-and-b", {("C", -1), ("B", 1)}, "C(-1) meets B(1)"),
+        ("separations/c-vs-a-and-b", {("C", 1), ("A", -1)}, "C(1) meets A(-1)"),
+        ("separations/d-vs-a-and-b", {("D", 1), ("B", 1)}, "D(1) and B(1) share 2 elements, not the expected one"),
+        ("separations/d-vs-a-and-b", {("D", 0), ("A", 1)}, "D(0) meets A(1)"),
+        ("separations/d-vs-a-and-b", {("D", -1), ("B", 0)}, "D(-1) meets B(0)"),
+    ],
+)
+def test_separation_fail_details(monkeypatch, claim_id, marked, detail):
+    block_set = claims._block_set
+
+    def with_extra(family, a):
+        cells = block_set(family, a)
+        return cells | {"extra"} if (family, a) in marked else cells
+
+    monkeypatch.setattr(claims, "_block_set", with_extra)
+    assert _claim(claim_id)(_SMALL) == (False, detail)
+
+
+def _shared(g):
+    return "extra"  # one class added to every grid: each intersection gains it
+
+
+def _own(g):
+    return ("extra", g.provenance)  # a class of its own: each block gains one new class
+
+
+@pytest.mark.parametrize(
+    "claim_id,extra,detail",
+    [
+        ("wk/w0-meet-w1", _shared, "intersection has 2 elements, expected exactly |11>"),
+        ("wk/w0-meet-w2", _shared, "intersection has 5 elements or wrong members"),
+        ("wk/w0-meet-w3", _shared, "intersection has 3 elements or wrong members"),
+        ("wk/w2-meet-w4", _shared, "intersection has 7 elements or wrong members"),
+        ("blocks/h-family-new-counts", _own, "new-element counts {2: 3, 3: 4, 4: 5, 5: 6, 6: 7, 7: 8, 8: 9}"),
+        ("blocks/hprime-new-counts", _own, "new-element counts {2: 3, 4: 5, 6: 7, 8: 9}"),
+        ("w-family/tails-avoid-h-blocks", _own, "the two tail squares share elements (34 distinct)"),
+        ("scaffold/tail-blocks-disjoint", _own, "m=3: tail squares overlap (34 distinct)"),
+        ("qls8/c57-square", _own, "per-prefix counts (33, 28), expected (31, 26)"),
+    ],
+)
+def test_class_set_fail_details(monkeypatch, claim_id, extra, detail):
+    elements = qls_core.distinct_elements
+    with_extra = lambda g: elements(g) | {extra(g)}  # noqa: E731
+    monkeypatch.setattr(claims, "distinct_elements", with_extra)
+    monkeypatch.setattr(qls_core, "distinct_elements", with_extra)
+    assert _claim(claim_id)(_SMALL) == (False, detail)
+
+
+@pytest.mark.parametrize(
+    "claim_id,name,stub,detail",
+    [
+        ("matrices/y-orthonormal", "mat_is_orthonormal", lambda m: False,
+         "Y1 at (a,b)=(-1,0) is not orthonormal"),
+        ("matrices/y-column-bases", "_columns_form_bases", lambda mats: False,
+         "column families at (a,b)=(-1,0) fail"),
+        ("product/w-matches-row-matrix-display", "phase_equal", lambda u, v: False,
+         "cell (0,0) at (a,b)=(-1,0) mismatches the display"),
+    ],
+)
+def test_witness_pair_fail_details(monkeypatch, claim_id, name, stub, detail):
+    monkeypatch.setattr(claims, name, stub)
+    assert _claim(claim_id)(_SMALL) == (False, detail)

@@ -274,6 +274,21 @@ class TestRangeAndClaims:
         payload = json.loads(out)
         assert all(item["status"] == "pass" for item in payload)
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            # no witnesses: every witness claim would pass over zero parameters
+            (("--witness-bound", "0"), "witness bound must be an integer >= 1, got 0"),
+            (("--witness-bound", "-3"), "witness bound must be an integer >= 1, got -3"),
+            (("--m", "1"), "m must be an integer >= 2, got 1"),
+            (("--m", "2", "--m", str(MAX_M + 1)),
+             f"m must be at most {MAX_M} (order {4 * MAX_M}), got {MAX_M + 1}"),
+        ],
+    )
+    def test_claims_rejects_senseless_arguments(self, capsys, argv, err):
+        # rejected before any claim runs: nothing on stdout
+        assert run_cli(capsys, "claims", *argv) == (2, "", f"error: {err}\n")
+
     def test_bad_arguments_exit_2(self, capsys):
         assert run_cli(capsys, "synth", "--m", "2")[0] == 2  # missing --c
         assert run_cli(capsys, "nonsense")[0] == 2

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qlatin import algebraic, generators
 from qlatin.claims import _columns_form_bases
-from qlatin.algebraic import sqrt_rational, squarefree_decompose
+from qlatin.algebraic import ONE, sqrt_rational, squarefree_decompose
 from qlatin.generators import (
     J_MATRICES,
     X_MATRICES,
@@ -64,11 +64,9 @@ class TestBlocks:
         assert a4 == QVector([0, F(2, 3), F(-2, 3), F(1, 3)])
 
     def test_c_and_d_blocks_are_orthonormal_pairs(self):
-        from qlatin.vectors import is_unit
-
         for fam in ("C", "D"):
             (v0, v1), (w0, w1) = make_block(fam, F(1, 2))
-            assert is_unit(v0) and is_unit(v1)
+            assert inner_product(v0, v0) == ONE and inner_product(v1, v1) == ONE
             assert inner_product(v0, v1).is_zero
             assert (w0, w1) == (v1, v0)
 

@@ -19,7 +19,6 @@ from qlatin.synthesis import (
     plan_qls8,
     reachable_sums,
     synth,
-    synth_qls8,
     valid_cardinalities,
 )
 
@@ -154,8 +153,9 @@ class TestExecution:
         assert verify_qls(grid).ok
         assert cardinality(grid).cardinality == c == plan.witness["total"]
 
-    def test_synth_qls8_shortcut(self):
-        grid = synth_qls8(24)
+    def test_order8_low_layout(self):
+        plan, grid = synth(2, 24)
+        assert plan.regime == "QLS8-low" and plan.witness == {"base": 16, "new_in_last_block": 8, "total": 24}
         assert grid.order == 8 and cardinality(grid).cardinality == 24
 
     def test_provenance_mentions_the_target(self):
@@ -170,8 +170,8 @@ class TestRanges:
 
     def test_contains(self):
         rng = valid_cardinalities(2)
-        assert rng.contains(8) and rng.contains(64) and rng.contains(57)
-        assert not rng.contains(9) and not rng.contains(7) and not rng.contains(65)
+        assert (rng.lo, rng.hi, rng.excluded) == (8, 64, 9)
+        assert 57 in rng.specials
 
     def test_specials(self):
         assert valid_cardinalities(2).specials == frozenset({57})
