@@ -13,10 +13,9 @@ import json
 import sys
 from typing import Sequence
 
-from .claims import ClaimConfig, report_json, report_text, run_all_claims
-from .generators import realize_generator
+# only what grid I/O, verify and cardinality need; each other command
+# imports its own modules, so a process loads only what it runs
 from .qls_core import QLSGrid, cardinality, grid_from_json, grid_to_json, verify_qls
-from .synthesis import plan_for, execute_plan, valid_cardinalities
 from .vectors import format_vector
 
 
@@ -41,11 +40,15 @@ def _emit_grid(g: QLSGrid, fmt: str) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import realize_generator
+
     _emit_grid(realize_generator(args.generator), args.format)
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    from .synthesis import execute_plan, plan_for
+
     plan = plan_for(args.m, args.c)
     plan_json = json.dumps(plan.to_json_dict(), indent=2) + "\n"
     if args.plan_out:
@@ -78,13 +81,22 @@ def _cmd_cardinality(args: argparse.Namespace) -> int:
 
 
 def _cmd_range(args: argparse.Namespace) -> int:
+    from .synthesis import valid_cardinalities
+
     print(valid_cardinalities(args.m).describe())
     return 0
 
 
 def _cmd_claims(args: argparse.Namespace) -> int:
-    sweep_m = tuple(args.m) if args.m else ClaimConfig.sweep_m
-    results = run_all_claims(ClaimConfig(args.witness_bound, sweep_m))
+    from .claims import ClaimConfig, report_json, report_text, run_all_claims
+
+    # an option left out takes ClaimConfig's default
+    settings = {}
+    if args.witness_bound is not None:
+        settings["witness_bound"] = args.witness_bound
+    if args.m is not None:
+        settings["sweep_m"] = tuple(args.m)
+    results = run_all_claims(ClaimConfig(**settings))
     sys.stdout.write(report_json(results) if args.format == "json" else report_text(results))
     return 0 if all(r.status == "pass" for r in results) else 1
 
@@ -121,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_range)
 
     p = sub.add_parser("claims", help="re-derive and report every recorded claim")
-    p.add_argument("--witness-bound", type=int, default=ClaimConfig.witness_bound)
+    p.add_argument("--witness-bound", type=int)
     p.add_argument("--m", type=int, action="append", help="sweep order parameter; repeatable")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=_cmd_claims)

@@ -9,7 +9,6 @@ matrix M read cell vectors off the columns of M: row i of the grid is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Container, NamedTuple, Sequence, Union
@@ -129,12 +128,13 @@ def make_alpha_basis() -> tuple[QVector, QVector, QVector, QVector]:
     return columns_as_vectors(J1)
 
 
+_ALPHAS = make_alpha_basis()
 # the plane (e0, e1) of each rotation-block family inside H_4
 _PLANES = {
     "A": (ket("00"), ket("01")),
     "B": (ket("10"), ket("11")),
-    "C": make_alpha_basis()[:2],
-    "D": make_alpha_basis()[2:],
+    "C": _ALPHAS[:2],
+    "D": _ALPHAS[2:],
 }
 
 
@@ -278,8 +278,7 @@ def make_Wk(k: int) -> QLSGrid:
     return grid_from_row_matrices(wk_row_matrices(k), f"Wk({k})")
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(NamedTuple):
     """Parsed form of a generator name such as "H(5)", "W(5,6)" or "W0"."""
 
     tag: str

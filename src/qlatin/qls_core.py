@@ -42,8 +42,7 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .algebraic import ONE, RadExt
 from .vectors import (
@@ -56,8 +55,7 @@ from .vectors import (
 )
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of an orthonormality check; only the first violation is kept."""
 
     ok: bool
@@ -66,11 +64,14 @@ class VerificationReport:
     location: tuple | None = None
 
 
-@dataclass(frozen=True)
-class CardinalityReport:
+class CardinalityReport(NamedTuple):
     cardinality: int
     # the canonical representative of each phase class, as canonical_set gives
-    classes: frozenset[QVector] = field(repr=False)
+    classes: frozenset[QVector]
+
+    # up to n^2 vectors of dimension n: the repr names only their count
+    def __repr__(self) -> str:
+        return f"CardinalityReport(cardinality={self.cardinality!r})"
 
 
 class QLSGrid(object):

@@ -15,8 +15,8 @@ squares for (m=2, c=57) and (m=3, c=105).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .generators import realize_generator
 from .qls_core import (
@@ -131,8 +131,7 @@ def high_slot1_binding() -> dict[int, str]:
     return binding
 
 
-@dataclass(frozen=True, eq=False)
-class SynthPlan:
+class SynthPlan(NamedTuple):
     """Block assignment per diagonal plus the arithmetic showing the target
     is met before any grid is built."""
 
@@ -382,8 +381,7 @@ def synth(m: int, c: int) -> tuple[SynthPlan, QLSGrid]:
     return plan, execute_plan(plan)
 
 
-@dataclass(frozen=True)
-class CardinalityRange:
+class CardinalityRange(NamedTuple):
     """The attainable cardinalities for order 4m, with the per-regime
     reachable sets that witness coverage."""
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlatin
+from qlatin import claims
 from qlatin.cli import main
 from qlatin.generators import realize_generator
 from qlatin.qls_core import grid_from_json, grid_to_json
@@ -289,7 +290,61 @@ class TestRangeAndClaims:
         # rejected before any claim runs: nothing on stdout
         assert run_cli(capsys, "claims", *argv) == (2, "", f"error: {err}\n")
 
+    def test_claims_defaults_come_from_claim_config(self, capsys, monkeypatch):
+        # an option left out is left to ClaimConfig, which holds the one copy
+        # of each default
+        seen = []
+
+        def run_all_claims(config):
+            seen.append(config)
+            return [claims.ClaimResult("stub", "pass", "exact", "")]
+
+        monkeypatch.setattr(claims, "run_all_claims", run_all_claims)
+        assert run_cli(capsys, "claims")[0] == 0
+        assert run_cli(capsys, "claims", "--m", "2")[0] == 0
+        assert seen == [claims.ClaimConfig(), claims.ClaimConfig(sweep_m=(2,))]
+
     def test_bad_arguments_exit_2(self, capsys):
         assert run_cli(capsys, "synth", "--m", "2")[0] == 2  # missing --c
         assert run_cli(capsys, "nonsense")[0] == 2
         assert run_cli(capsys)[0] == 2
+
+
+# Runs one command in a fresh interpreter and prints its exit code, the
+# qlatin modules it loaded and whether it loaded dataclasses.
+_LOADED_BY = """
+import json, sys
+from qlatin import cli
+code = cli.main(sys.argv[1:])
+loaded = sorted(k for k in sys.modules if k.startswith("qlatin"))
+print(json.dumps([code, loaded, "dataclasses" in sys.modules]))
+"""
+
+_GRID_IO = ["qlatin", "qlatin.algebraic", "qlatin.cli", "qlatin.qls_core", "qlatin.vectors"]
+
+
+def loaded_by(*argv):
+    src = os.path.dirname(os.path.dirname(qlatin.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_BY, *argv],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestStartup:
+    """A process loads only the modules its command runs."""
+
+    @pytest.mark.parametrize("command", ["verify", "cardinality"])
+    def test_grid_commands_load_grid_io_only(self, tmp_path, command):
+        path = tmp_path / "grid.json"
+        path.write_text(grid_to_json(realize_generator("H(3)")))
+        assert loaded_by(command, str(path)) == [0, _GRID_IO, False]
+
+    @pytest.mark.parametrize(
+        "argv", [("range", "--m", "2"), ("synth", "--m", "2", "--c", "24"), ("gen", "H(3)")]
+    )
+    def test_other_commands_skip_claims(self, argv):
+        code, loaded, dataclasses = loaded_by(*argv)
+        assert code == 0 and "qlatin.claims" not in loaded and not dataclasses
