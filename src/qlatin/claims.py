@@ -46,17 +46,18 @@ from .qls_core import (
     verify_qls,
 )
 from .synthesis import (
+    S1_HIGH,
+    S1_LOW,
     ImpossibleCardinalityError,
     _QLS8_OFFSETS,
     _QLS8_ROWS,
     _check_m,
     _qls8_low_plan,
     execute_plan,
-    high_x1_sumset,
-    low_x1_sumset,
     plan_for,
     plan_qls4m,
     plan_qls8,
+    reachable_sums,
     synth,
     valid_cardinalities,
 )
@@ -520,13 +521,18 @@ def _claim_qls8_c57(cfg: ClaimConfig):
     return True, "the fixed square counts to 57 = 31 + 26"
 
 
+def _synth_every_target(m: int) -> int:
+    """Synthesize, verify and count a grid at every attainable cardinality
+    of order 4m; the number built."""
+    rng = valid_cardinalities(m)
+    for c in range(rng.lo, rng.hi + 1):
+        if c != rng.excluded:
+            synth(m, c)  # execute_plan re-verifies and re-counts
+    return rng.hi - rng.lo
+
+
 def _claim_qls8_full_range(cfg: ClaimConfig):
-    built = 0
-    for c in range(8, 65):
-        if c == 9:
-            continue
-        synth(2, c)
-        built += 1
+    built = _synth_every_target(2)
     return True, f"all {built} targets in [8,64] minus 9 verified and counted"
 
 
@@ -540,7 +546,7 @@ def _claim_qls12_c105(cfg: ClaimConfig):
 
 def _claim_low_sum_range(cfg: ClaimConfig):
     for m in DP_M:
-        reach = low_x1_sumset(m)
+        reach = reachable_sums(S1_LOW, m)
         window = frozenset(range(0, 16 * m - 7)) - {1, 16 * m - 15}
         if reach & frozenset(range(0, 16 * m - 7)) != window:
             return False, f"m={m}: in-window set differs from the stated one"
@@ -555,7 +561,7 @@ def _claim_low_sum_range(cfg: ClaimConfig):
 
 def _claim_high_sum_range(cfg: ClaimConfig):
     for m in DP_M:
-        reach = high_x1_sumset(m)
+        reach = reachable_sums(S1_HIGH, m)
         want = frozenset(range(0, 16 * m + 1)) - {1, 3, 5, 7, 9, 11, 13}
         if reach != want:
             return False, f"m={m}: symmetric difference {sorted(reach ^ want)}"
@@ -568,7 +574,7 @@ def _claim_coverage_union(cfg: ClaimConfig):
         rng = valid_cardinalities(m)  # raises if the union misses the target set
         if m == 3:
             in_low = 105 in rng.low_reachable
-            off25 = 25 in high_x1_sumset(3)
+            off25 = 25 in reachable_sums(S1_HIGH, 3)
             notes.append(
                 f"m=3: 105 ({'also' if in_low else 'not'} low-reachable by the sums), "
                 f"high offset 25 {'reachable (2+8+15)' if off25 else 'unreachable'}"
@@ -597,14 +603,7 @@ def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
 
 
 def _claim_synthesis_sweep(cfg: ClaimConfig):
-    built = 0
-    for m in cfg.sweep_m:
-        rng = valid_cardinalities(m)
-        for c in range(rng.lo, rng.hi + 1):
-            if c == rng.excluded:
-                continue
-            synth(m, c)  # execute_plan re-verifies and re-counts
-            built += 1
+    built = sum(_synth_every_target(m) for m in cfg.sweep_m)
     return True, f"{built} verified grids across m in {list(cfg.sweep_m)}"
 
 

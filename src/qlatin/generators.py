@@ -11,21 +11,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Callable, Container, NamedTuple, Sequence, Union
+from typing import Callable, Container, NamedTuple, Sequence
 
-from .algebraic import RadExt, sqrt_rational
+from .algebraic import sqrt_rational
 from .qls_core import QLSGrid, RowQLR, check_orthonormal, verify_row_qlr
-from .vectors import QVector, ket, tensor, vec_add, vec_scale
+from .vectors import Coefficient, QVector, ket, tensor, vec_add, vec_scale
 
-Scalar = Union[RadExt, Fraction, int]
-Matrix = tuple[tuple[Scalar, ...], ...]
+Matrix = tuple[tuple[Coefficient, ...], ...]
 # 2x2 sub-square living inside a two-dimensional subspace of H_4
 Block = tuple[tuple[QVector, QVector], tuple[QVector, QVector]]
 
 F = Fraction
 
 
-def mat(rows: Sequence[Sequence[Scalar]]) -> Matrix:
+def mat(rows: Sequence[Sequence[Coefficient]]) -> Matrix:
     return tuple(tuple(r) for r in rows)
 
 

@@ -4,8 +4,10 @@ The scaffold is the cyclic classical square a[i][j] = (j - i) mod m, each
 entry replaced by |a[i][j]> tensor (an order-4 block). All blocks on
 diagonal j share the prefix |j>, so diagonals contribute disjoint element
 sets and cardinality is additive across diagonals. Per diagonal the block
-choices are ranked by how many new element classes they add, and a target
-is decomposed over diagonals by dynamic programming on the reachable sums.
+choices are ranked by how many new element classes they add, and one
+routine, `_pick_per_diagonal`, splits a target over the diagonals: it takes
+the lexicographically first feasible choice sequence, each pick checked
+against the sums the later diagonals can still reach.
 
 Two counting regimes cover [4m, 16m^2] minus 4m+1 (which no square of
 order 4m can hit): a "low" regime anchored at the basis-like blocks and a
@@ -73,27 +75,54 @@ def reachable_sums(values: tuple[int, ...], count: int) -> frozenset[int]:
     return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
-def low_x1_sumset(m: int) -> frozenset[int]:
-    return reachable_sums(S1_LOW, m)
+class _Choices(NamedTuple):
+    """One diagonal's options as (value, option) pairs in preference order,
+    with the sorted distinct values whose reachable sums decide feasibility."""
+
+    pairs: tuple
+    values: tuple[int, ...]
 
 
-def high_x1_sumset(m: int) -> frozenset[int]:
-    return reachable_sums(S1_HIGH, m)
+def _choices(pairs: tuple) -> _Choices:
+    return _Choices(pairs, tuple(sorted({v for v, _ in pairs})))
+
+
+def _pick_per_diagonal(choices: _Choices, m: int, rem: int) -> list:
+    """One option for each of m >= 1 diagonals, values summing to rem.
+
+    Each diagonal takes the first option that leaves a remainder the later
+    diagonals can still reach exactly: the lexicographically first feasible
+    choice sequence."""
+    pairs, values = choices
+    picks = []
+    for left in range(m - 1, -1, -1):
+        suffix = reachable_sums(values, left)
+        for v, option in pairs:
+            if rem - v in suffix:
+                break
+        else:  # only on the first diagonal: each pick keeps rem reachable
+            raise RuntimeError(f"no choice over {m} diagonals sums to {rem}")
+        rem -= v
+        picks.append(option)
+    return picks
 
 
 @lru_cache(maxsize=None)
-def _diag_totals_low(m: int) -> tuple[int, ...]:
-    """Per-diagonal totals available in the low regime for a given m."""
-    return tuple(
-        sorted(
-            {
-                4 * x0 + x1 + 16 * q
-                for x0 in (0, 1)
-                for x1 in S1_LOW
-                for q in range(m - 1)
-            }
+def _low_choices(m: int) -> _Choices:
+    """The low regime's options (x0, x1, tail bits), each worth
+    4*x0 + x1 + 16*(set tail bits); of the m-2 tail slots, the last q hold
+    the disjoint W squares."""
+    return _choices(
+        tuple(
+            (4 * x0 + x1 + 16 * q, (x0, x1, (0,) * (m - 2 - q) + (1,) * q))
+            for x0 in (0, 1)
+            for x1 in S1_LOW
+            for q in range(m - 1)
         )
     )
+
+
+_HIGH_CHOICES = _choices(tuple((v, v) for v in S1_HIGH))
 
 
 @lru_cache(maxsize=None)
@@ -207,24 +236,19 @@ def plan_qls8(c: int) -> SynthPlan:
             witness={"prefix0_count": 31, "prefix1_count": 26, "total": 57},
         )
     binding = high_slot1_binding()
-    need = c - 32
-    choices = sorted(v for v in S1_HIGH if v > 0)
-    for l1 in choices:
-        l2 = need - l1
-        if l2 in choices:
-            return SynthPlan(
-                m=2,
-                target_c=c,
-                regime="QLS8-high",
-                diagonals=(("W0", binding[l1]), ("W0", binding[l2])),
-                witness={
-                    "base": 32,
-                    "new_bottom_right": l1,
-                    "new_bottom_left": l2,
-                    "total": 32 + l1 + l2,
-                },
-            )
-    raise RuntimeError(f"no two-part split reaches cardinality {c}")
+    l1, l2 = _pick_per_diagonal(_HIGH_CHOICES, 2, c - 32)
+    return SynthPlan(
+        m=2,
+        target_c=c,
+        regime="QLS8-high",
+        diagonals=(("W0", binding[l1]), ("W0", binding[l2])),
+        witness={
+            "base": 32,
+            "new_bottom_right": l1,
+            "new_bottom_left": l2,
+            "total": 32 + l1 + l2,
+        },
+    )
 
 
 _C105_DIAGONALS = (
@@ -234,7 +258,7 @@ _C105_DIAGONALS = (
 )
 
 
-def _low_slot_names(m: int, x0: int, x1: int, q: int) -> tuple[str, ...]:
+def _low_slot_names(x0: int, x1: int, bits: tuple[int, ...]) -> tuple[str, ...]:
     slot0 = f"H({x0})"
     if x1 == 0:
         slot1 = slot0
@@ -242,45 +266,25 @@ def _low_slot_names(m: int, x0: int, x1: int, q: int) -> tuple[str, ...]:
         slot1 = "W(5,6)"
     else:
         slot1 = f"H({x1})"
-    tail = tuple(
-        f"W({2 * i + 3},{2 * i + 4})" if i >= m - q else slot0 for i in range(2, m)
-    )
+    tail = tuple(f"W({2 * i + 3},{2 * i + 4})" if b else slot0 for i, b in enumerate(bits, 2))
     return (slot0, slot1) + tail
 
 
 def _plan_low(m: int, c: int) -> SynthPlan:
-    diag_vals = _diag_totals_low(m)
-    rem = c - 4 * m
-    diagonals, xs = [], []
-    for j in range(m):
-        suffix = reachable_sums(diag_vals, m - 1 - j)
-        # lexicographically smallest (x0, x1, high-slot count) that stays feasible
-        chosen = next(
-            ((x0, x1, q) for x0 in (0, 1) for x1 in S1_LOW for q in range(m - 1)
-             if rem - (4 * x0 + x1 + 16 * q) in suffix),
-            None,
-        )
-        if chosen is None:
-            raise RuntimeError(
-                f"low-regime decomposition failed for m={m}, c={c} (internal invariant)"
-            )
-        x0, x1, q = chosen
-        diagonals.append(_low_slot_names(m, x0, x1, q))
-        xs.append((x0, x1, tuple(1 if i >= m - q else 0 for i in range(2, m))))
-        rem -= 4 * x0 + x1 + 16 * q
+    xs = _pick_per_diagonal(_low_choices(m), m, c - 4 * m)
     total = (
         4 * m
         + 4 * sum(x[0] for x in xs)
         + sum(x[1] for x in xs)
         + 16 * sum(sum(x[2]) for x in xs)
     )
-    if total != c or rem != 0:
+    if total != c:
         raise RuntimeError(f"witness sum {total} does not match target {c}")
     return SynthPlan(
         m=m,
         target_c=c,
         regime="low",
-        diagonals=tuple(diagonals),
+        diagonals=tuple(_low_slot_names(*x) for x in xs),
         witness={
             "x0": [x[0] for x in xs],
             "x1": [x[1] for x in xs],
@@ -293,21 +297,11 @@ def _plan_low(m: int, c: int) -> SynthPlan:
 
 def _plan_high(m: int, c: int) -> SynthPlan:
     binding = high_slot1_binding()
-    rem = c - 16 * m * (m - 1)
-    x1s = []
-    for j in range(m):
-        suffix = reachable_sums(S1_HIGH, m - 1 - j)
-        pick = next((v for v in S1_HIGH if rem - v in suffix), None)
-        if pick is None:
-            raise RuntimeError(
-                f"high-regime decomposition failed for m={m}, c={c} (internal invariant)"
-            )
-        x1s.append(pick)
-        rem -= pick
+    x1s = _pick_per_diagonal(_HIGH_CHOICES, m, c - 16 * m * (m - 1))
     tail = tuple(f"W({2 * i + 3},{2 * i + 4})" for i in range(2, m))
     diagonals = tuple(("W0", binding[x1]) + tail for x1 in x1s)
     total = 16 * m * (m - 1) + sum(x1s)
-    if total != c or rem != 0:
+    if total != c:
         raise RuntimeError(f"witness sum {total} does not match target {c}")
     return SynthPlan(
         m=m,
@@ -333,9 +327,7 @@ def plan_qls4m(m: int, c: int) -> SynthPlan:
             diagonals=_C105_DIAGONALS,
             witness={"diagonal_totals": [47, 32, 26], "total": 105},
         )
-    if c <= 16 * m * m - 8 * m - 8 and (c - 4 * m) in reachable_sums(
-        _diag_totals_low(m), m
-    ):
+    if c <= 16 * m * m - 8 * m - 8 and c - 4 * m in reachable_sums(_low_choices(m).values, m):
         return _plan_low(m, c)
     return _plan_high(m, c)
 
@@ -400,17 +392,15 @@ class CardinalityRange(NamedTuple):
 def valid_cardinalities(m: int) -> CardinalityRange:
     _check_m(m, 2)
     lo, hi = 4 * m, 16 * m * m
+    high = frozenset(16 * m * (m - 1) + s for s in reachable_sums(S1_HIGH, m))
     if m == 2:
         low = frozenset(
             base + off for base, _, _, _ in _QLS8_ROWS for off in _QLS8_OFFSETS
         )
-        high = frozenset(
-            32 + l1 + l2 for l1 in S1_HIGH if l1 for l2 in S1_HIGH if l2
-        ) & frozenset(range(49, 65))
+        high &= frozenset(range(49, 65))
         specials = frozenset({57})
     else:
-        low = frozenset(lo + s for s in reachable_sums(_diag_totals_low(m), m))
-        high = frozenset(16 * m * (m - 1) + s for s in reachable_sums(S1_HIGH, m))
+        low = frozenset(lo + s for s in reachable_sums(_low_choices(m).values, m))
         specials = frozenset({105}) if m == 3 else frozenset()
     expected = frozenset(range(lo, hi + 1)) - {lo + 1}
     if (low | high | specials) != expected:

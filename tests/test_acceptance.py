@@ -27,10 +27,11 @@ from qlatin.qls_core import (
     verify_row_qlr,
 )
 from qlatin.synthesis import (
+    S1_HIGH,
+    S1_LOW,
     ImpossibleCardinalityError,
-    high_x1_sumset,
-    low_x1_sumset,
     plan_for,
+    reachable_sums,
     synth,
     valid_cardinalities,
 )
@@ -284,11 +285,11 @@ def test_verification_matches_full_pair_reference():
 
 def test_criterion_09_reachable_sum_sets():
     for m in range(3, 9):
-        low = low_x1_sumset(m)
+        low = reachable_sums(S1_LOW, m)
         window = frozenset(range(0, 16 * m - 7))
         assert low & window == window - {1, 16 * m - 15}, f"m={m} low window"
         assert low - window == {16 * m}, f"m={m} low above window"
-        high = high_x1_sumset(m)
+        high = reachable_sums(S1_HIGH, m)
         assert high == frozenset(range(0, 16 * m + 1)) - {1, 3, 5, 7, 9, 11, 13}, f"m={m} high"
     print(
         "PASS criterion 9: for m in [3,8], low-regime sums within [0,16m-8] are "

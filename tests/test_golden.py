@@ -1,7 +1,8 @@
 """Golden outputs: the sha256 of stdout from in-process `qlatin synth`, `gen`
-and `claims --format json`. Outputs must stay byte for byte the same across
-performance and refactoring changes; a digest here changes only with a
-deliberate change of output, recorded in CHANGES.md.
+and `claims --format json`, of every plan `synth` would write for m = 2..6,
+and of every attainable range for m = 2..8. Outputs must stay byte for byte
+the same across performance and refactoring changes; a digest here changes
+only with a deliberate change of output, recorded in CHANGES.md.
 
 To print the digests of the current code:
     PYTHONPATH=src python tests/test_golden.py
@@ -10,10 +11,12 @@ To print the digests of the current code:
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
 from qlatin.cli import main
+from qlatin.synthesis import plan_for, valid_cardinalities
 
 from test_acceptance import GENERATOR_IDS
 
@@ -80,11 +83,49 @@ GOLDEN = {
 }
 
 
+# sha256 over the plan JSON `synth` writes to stderr, for every valid target
+# of m = 2..6 (1,360 plans), in order of m then c
+PLANS_DIGEST = "0c0e31f7f919e2a8cb1c803efd5c8dd71bee8abb650d4f76654fbd922db395fd"
+# sha256 over one JSON line per m = 2..8: lo, hi, excluded and the sorted
+# low-reachable, high-reachable and special cardinalities
+RANGES_DIGEST = "d7676e4eaf06a75d25d980243cd9f22ac3329211ee7fe5b312ea3aa123c6c217"
+
+
+def _plans_digest() -> str:
+    h = hashlib.sha256()
+    for m in range(2, 7):
+        rng = valid_cardinalities(m)
+        for c in range(rng.lo, rng.hi + 1):
+            if c != rng.excluded:
+                h.update((json.dumps(plan_for(m, c).to_json_dict(), indent=2) + "\n").encode())
+    return h.hexdigest()
+
+
+def _ranges_digest() -> str:
+    h = hashlib.sha256()
+    for m in range(2, 9):
+        r = valid_cardinalities(m)
+        fields = [r.lo, r.hi, r.excluded, sorted(r.low_reachable), sorted(r.high_reachable),
+                  sorted(r.specials)]
+        h.update((json.dumps(fields) + "\n").encode())
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("argv", list(_cases()), ids=" ".join)
 def test_stdout_is_byte_identical(argv):
     assert _stdout_digest(*argv) == GOLDEN[" ".join(argv)]
 
 
+def test_every_plan_is_byte_identical():
+    assert _plans_digest() == PLANS_DIGEST
+
+
+def test_every_range_is_byte_identical():
+    assert _ranges_digest() == RANGES_DIGEST
+
+
 if __name__ == "__main__":
     for argv in _cases():
         print(f'    "{" ".join(argv)}": "{_stdout_digest(*argv)}",')
+    print(f"PLANS_DIGEST = {_plans_digest()}")
+    print(f"RANGES_DIGEST = {_ranges_digest()}")

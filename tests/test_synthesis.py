@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlatin.qls_core import cardinality, verify_qls
 from qlatin.synthesis import (
@@ -9,11 +11,11 @@ from qlatin.synthesis import (
     CardinalityRangeError,
     ImpossibleCardinalityError,
     SynthPlan,
+    _choices,
+    _pick_per_diagonal,
     execute_plan,
     high_slot1_binding,
-    high_x1_sumset,
     impossibility_message,
-    low_x1_sumset,
     plan_for,
     plan_qls4m,
     plan_qls8,
@@ -32,16 +34,37 @@ class TestReachableSums:
 
     def test_low_set_shape(self):
         for m in (3, 4, 5):
-            low = low_x1_sumset(m)
+            low = reachable_sums(S1_LOW, m)
             window = frozenset(range(0, 16 * m - 7))
             assert low & window == window - {1, 16 * m - 15}
             assert low - window == {16 * m}
 
     def test_high_set_shape(self):
         for m in (3, 4, 5):
-            assert high_x1_sumset(m) == frozenset(range(0, 16 * m + 1)) - {
+            assert reachable_sums(S1_HIGH, m) == frozenset(range(0, 16 * m + 1)) - {
                 1, 3, 5, 7, 9, 11, 13,
             }
+
+
+class TestPickPerDiagonal:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=12), max_size=5),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=50),
+    )
+    @settings(deadline=None)
+    def test_first_feasible_tuple_by_brute_force(self, values, m, rem):
+        # option i has value values[i]; equal values stay distinguishable
+        options = tuple((v, i) for i, v in enumerate(values))
+        first = next(
+            (t for t in itertools.product(options, repeat=m) if sum(v for v, _ in t) == rem),
+            None,
+        )
+        if first is None:
+            with pytest.raises(RuntimeError):
+                _pick_per_diagonal(_choices(options), m, rem)
+        else:
+            assert _pick_per_diagonal(_choices(options), m, rem) == [i for _, i in first]
 
 
 class TestPlanning:
