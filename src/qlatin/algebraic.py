@@ -1,19 +1,24 @@
 """Exact arithmetic in the ring of rational linear combinations of square roots.
 
-A value is stored as a finite map {squarefree radicand d: rational coefficient q}
-and denotes sum(q * sqrt(d)).  The radicand 1 carries the rational part.  Because
-square roots of distinct squarefree integers are linearly independent over the
-rationals, a value is zero exactly when its map is empty, so equality is a purely
-symbolic check.  The sign of a nonzero value is decided by evaluating each root
-to an exact dyadic interval and doubling the precision until zero is excluded.
+A value is stored as one integer denominator den >= 1 and a finite map
+{squarefree radicand d: nonzero integer numerator n}, and denotes
+sum(n * sqrt(d)) / den.  The radicand 1 carries the rational part.  The pair
+is kept in lowest terms, gcd(den, every n) = 1, with zero as den 1 and the
+empty map.  Because square roots of distinct squarefree integers are linearly
+independent over the rationals, each value then has exactly one stored form:
+a value is zero exactly when its map is empty, and equality and hashing
+compare integers, so both are purely symbolic.  The sign of a nonzero value
+is decided by bounding each root with an integer square root at a binary
+precision, doubling the precision until the bounds exclude zero.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Union
 
 Scalar = Union[int, Fraction]
 
@@ -55,100 +60,110 @@ def squarefree_decompose(n: int) -> tuple[int, int]:
     return _decompose(n)
 
 
-def _mul_into(
-    acc: dict[int, Fraction], tu: Mapping[int, Fraction], tv: Mapping[int, Fraction]
+def _add_product(
+    acc: dict[int, int], u: Mapping[int, int], v: Mapping[int, int], scale: int
 ) -> None:
-    """Add the product of two canonical term maps into acc, in place; acc
-    stays canonical (squarefree keys, nonzero values)."""
-    for d1, q1 in tu.items():
-        for d2, q2 in tv.items():
+    """Add scale times the product of two numerator maps into acc, in place.
+    Keys stay squarefree; terms that cancel are left as zeros for
+    RadExt._reduced to drop."""
+    for d1, n1 in u.items():
+        n1 *= scale
+        for d2, n2 in v.items():
             # sqrt(d1)*sqrt(d2) = g*sqrt((d1/g)*(d2/g)) with g = gcd(d1, d2);
             # the cofactors are coprime and squarefree, so no factoring needed
             g = math.gcd(d1, d2)
             rad = (d1 // g) * (d2 // g)
-            c = q1 * q2 * g
-            prev = acc.get(rad)
-            if prev is None:
-                acc[rad] = c
-            else:
-                c = prev + c
-                if c:
-                    acc[rad] = c
-                else:
-                    del acc[rad]
+            acc[rad] = acc.get(rad, 0) + n1 * n2 * g
 
 
-def _as_fraction(q: Scalar) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    if isinstance(q, int):
-        return Fraction(q)
+def _ratio(q: Scalar) -> tuple[int, int]:
+    """The numerator and positive denominator of an int or Fraction, in lowest terms."""
+    if isinstance(q, (int, Fraction)):
+        return q.numerator, q.denominator
     raise TypeError(f"expected an int or Fraction, got {type(q).__name__}")
 
 
 class RadExt(object):
     """An element of the extension of Q by square roots of squarefree integers.
 
-    Instances are immutable by contract: `terms` must never be mutated after
-    construction.  Arithmetic returns new objects; hashes are cached.
+    The value is sum(num[d] * sqrt(d)) / den, stored in lowest terms: `den`
+    is a positive int, `num` maps squarefree radicands to nonzero ints, and
+    no integer > 1 divides den and every numerator.  Every constructor
+    reduces, so equal values have equal fields.  Instances are immutable by
+    contract: `den` and `num` must never be mutated after construction.
+    Arithmetic returns new objects; hashes are cached.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("den", "num", "_hash")
 
     def __init__(self, terms: Mapping[int, Scalar] = ()):
-        clean: dict[int, Fraction] = {}
+        parts = []
         for d, q in dict(terms).items():
             if not isinstance(d, int):
                 raise TypeError(f"radicand must be an int, got {type(d).__name__}")
             s, rad = squarefree_decompose(d)
-            coeff = _as_fraction(q) * s
-            if coeff:
-                clean[rad] = clean.get(rad, Fraction(0)) + coeff
-        self.terms = {d: q for d, q in clean.items() if q}
-        self._hash = None
+            n, r = _ratio(q)
+            parts.append((rad, n * s, r))
+        den = math.lcm(*(r for _, _, r in parts))
+        acc: dict[int, int] = {}
+        for rad, n, r in parts:
+            acc[rad] = acc.get(rad, 0) + n * (den // r)
+        x = RadExt._reduced(den, acc)
+        self.den, self.num, self._hash = x.den, x.num, None
 
     @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "RadExt":
-        # internal fast path: terms already canonical (squarefree keys, nonzero values)
+    def _raw(cls, den: int, num: dict[int, int]) -> "RadExt":
+        # internal fast path: (den, num) already in lowest terms
         self = object.__new__(cls)
-        self.terms = terms
+        self.den = den
+        self.num = num
         self._hash = None
         return self
 
     @classmethod
+    def _reduced(cls, den: int, acc: dict[int, int]) -> "RadExt":
+        """internal: sum(acc[d] * sqrt(d)) / den for den >= 1 and squarefree
+        keys, brought to lowest terms; zero entries are dropped."""
+        num = {d: n for d, n in acc.items() if n}
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {d: n // g for d, n in num.items()}
+        return cls._raw(den, num)
+
+    @classmethod
     def from_rational(cls, q: Scalar) -> "RadExt":
-        coeff = _as_fraction(q)
-        return cls._raw({1: coeff} if coeff else {})
+        n, r = _ratio(q)
+        return cls._raw(r, {1: n} if n else {})
+
+    @property
+    def terms(self) -> "Mapping[int, Fraction]":
+        """The value as a read-only {radicand: rational coefficient} view."""
+        return _Terms(self)
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __add__(self, other: "RadExt | Scalar") -> "RadExt":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
+        if not self.num:
             return other
-        if not other.terms:
+        if not other.num:
             return self
-        out = dict(self.terms)
-        for d, q in other.terms.items():
-            c = out.get(d)
-            if c is None:
-                out[d] = q
-            else:
-                c = c + q
-                if c:
-                    out[d] = c
-                else:
-                    del out[d]
-        return RadExt._raw(out)
+        den = math.lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {d: n * sa for d, n in self.num.items()}
+        for d, n in other.num.items():
+            out[d] = out.get(d, 0) + n * sb
+        return RadExt._reduced(den, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadExt":
-        return RadExt._raw({d: -q for d, q in self.terms.items()})
+        return RadExt._raw(self.den, {d: -n for d, n in self.num.items()})
 
     def __sub__(self, other: "RadExt | Scalar") -> "RadExt":
         other = _coerce(other)
@@ -166,71 +181,71 @@ class RadExt(object):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
+        if not self.num or not other.num:
             return ZERO
-        out: dict[int, Fraction] = {}
-        _mul_into(out, self.terms, other.terms)
-        return RadExt._raw(out)
+        out: dict[int, int] = {}
+        _add_product(out, self.num, other.num, 1)
+        return RadExt._reduced(self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, RadExt):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == RadExt.from_rational(other).terms
-        return NotImplemented
+        if not isinstance(other, RadExt):
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self.terms.items())))
+            h = hash((self.den, tuple(sorted(self.num.items()))))
             self._hash = h
         return h
 
     def sign(self) -> int:
         """-1, 0 or +1.  Zero is symbolic; nonzero is decided by exact intervals."""
-        if not self.terms:
+        if not self.num:
             return 0
-        signs = {1 if q > 0 else -1 for q in self.terms.values()}
+        signs = {1 if n > 0 else -1 for n in self.num.values()}
         if len(signs) == 1:
-            # every term q*sqrt(d) has the sign of q
+            # every term n*sqrt(d) has the sign of n
             return signs.pop()
         prec = _SIGN_START_BITS
         while True:
-            lo, hi = self._interval(prec)
+            # integer bounds on den * 2**prec times the value; both factors
+            # are positive, so the bounds decide its sign
+            lo = hi = 0
+            for d, n in self.num.items():
+                if d == 1:
+                    lo += n << prec
+                    hi += n << prec
+                    continue
+                # a <= sqrt(d) * 2**prec < a + 1
+                a = math.isqrt(d << (2 * prec))
+                if n > 0:
+                    lo += n * a
+                    hi += n * (a + 1)
+                else:
+                    lo += n * (a + 1)
+                    hi += n * a
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             prec *= 2
 
-    def _interval(self, prec: int) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
-        unit = Fraction(1, 1 << prec)
-        for d, q in self.terms.items():
-            if d == 1:
-                lo += q
-                hi += q
-                continue
-            a = math.isqrt(d << (2 * prec))
-            r_lo, r_hi = a * unit, (a + 1) * unit
-            if q > 0:
-                lo += q * r_lo
-                hi += q * r_hi
-            else:
-                lo += q * r_hi
-                hi += q * r_lo
-        return lo, hi
-
     def to_triples(self) -> list[list[int]]:
         """Serialize as [numerator, denominator, radicand] triples, radicand ascending."""
-        return [
-            [q.numerator, q.denominator, d] for d, q in sorted(self.terms.items())
-        ]
+        den = self.den
+        out = []
+        for d, n in sorted(self.num.items()):
+            g = math.gcd(n, den)
+            out.append([n // g, den // g, d])
+        return out
 
     @classmethod
     def from_triples(cls, triples: list[list[int]]) -> "RadExt":
@@ -238,7 +253,6 @@ class RadExt(object):
         are read, so a JSON object or string never passes as a value."""
         if type(triples) is not list:
             raise ValueError(f"expected a list of triples, got {type(triples).__name__}")
-        terms: dict[int, Fraction] = {}
         last_rad = 0
         for item in triples:
             # type(), not isinstance: JSON true must not pass as the integer 1
@@ -257,11 +271,12 @@ class RadExt(object):
             _, squarefree = squarefree_decompose(rad)
             if squarefree != rad:
                 raise ValueError(f"radicand {rad} is not squarefree")
-            terms[rad] = Fraction(num, den)
-        return cls._raw(terms)
+        # each triple is reduced, so over their lcm the form is too
+        den = math.lcm(*(r for _, r, _ in triples))
+        return cls._raw(den, {d: n * (den // r) for n, r, d in triples})
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
         for d, q in sorted(self.terms.items()):
@@ -279,6 +294,28 @@ class RadExt(object):
         return out
 
 
+class _Terms(Mapping):
+    """{radicand: Fraction} over a RadExt's fields; a coefficient is made only
+    when read, so a length or truth test costs no Fraction."""
+
+    __slots__ = ("_x",)
+
+    def __init__(self, x: RadExt):
+        self._x = x
+
+    def __getitem__(self, d: int) -> Fraction:
+        return Fraction(self._x.num[d], self._x.den)
+
+    def __iter__(self):
+        return iter(self._x.num)
+
+    def __len__(self) -> int:
+        return len(self._x.num)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 def _coerce(x: "RadExt | Scalar") -> RadExt:
     if isinstance(x, RadExt):
         return x
@@ -293,11 +330,12 @@ ONE = RadExt.from_rational(1)
 
 def sqrt_rational(q: Scalar) -> RadExt:
     """Exact square root of a nonnegative rational as a single radical term."""
-    q = _as_fraction(q)
-    if q < 0:
+    p, r = _ratio(q)
+    if p < 0:
         raise ValueError(f"cannot take a real square root of {q}")
-    if q == 0:
+    if p == 0:
         return ZERO
-    # sqrt(p/r) = sqrt(p*r)/r
-    s, d = squarefree_decompose(q.numerator * q.denominator)
-    return RadExt._raw({d: Fraction(s, q.denominator)})
+    # sqrt(p/r) = sqrt(p*r)/r = s*sqrt(d)/r
+    s, d = squarefree_decompose(p * r)
+    g = math.gcd(s, r)
+    return RadExt._raw(r // g, {d: s // g})

@@ -73,8 +73,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_cardinality(args: argparse.Namespace) -> int:
     g = _read_grid(args.input)
-    if not verify_qls(g).ok:
-        print(f"FAIL: {verify_qls(g).message}", file=sys.stderr)
+    report = verify_qls(g)
+    if not report.ok:
+        print(f"FAIL: {report.message}", file=sys.stderr)
         return 1
     print(cardinality(g).cardinality)
     return 0

@@ -195,8 +195,9 @@ def cardinality(g: QLSGrid) -> CardinalityReport:
     """Count phase classes by canonical form; requires a verified grid."""
     if g._card_report is not None:
         return g._card_report
-    if not verify_qls(g).ok:
-        raise ValueError(f"grid is not a QLS: {verify_qls(g).message}")
+    verdict = verify_qls(g)
+    if not verdict.ok:
+        raise ValueError(f"grid is not a QLS: {verdict.message}")
     classes = canonical_set(v for row in g.cells for v in row)
     report = CardinalityReport(cardinality=len(classes), classes=classes)
     g._card_report = report

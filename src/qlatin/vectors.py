@@ -9,9 +9,11 @@ basis vector is an index shift.
 A grid holds few distinct coefficients (about 200 at order 64), so
 `inner_product` memoizes its exact sum in `_PRODUCT_MEMO`, keyed on the
 coefficient pairs at the shared indices; the memo holds at most
-`PRODUCT_MEMO_MAX` (1024) entries and is cleared when full. Cells that share a
-block share its coefficient objects, and grid JSON parsing interns equal
-coefficients, so most memo lookups compare by identity.
+`PRODUCT_MEMO_MAX` (1024) entries and is cleared when full. A miss adds the
+integer numerator products over the lcm of the pairs' denominators and reduces
+the sum once. Cells that share a block share its coefficient objects, and grid
+JSON parsing interns equal coefficients, so most memo lookups compare by
+identity; the rest compare integers, since a value has one stored form.
 
 Vectors are real here: phase equivalence collapses to equality up to -1, and
 the canonical representative of a phase class is the vector whose first
@@ -20,10 +22,11 @@ nonzero coordinate is positive.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .algebraic import ONE, ZERO, RadExt, _mul_into
+from .algebraic import ONE, ZERO, RadExt, _add_product
 
 Coefficient = Union[RadExt, Fraction, int]
 
@@ -47,7 +50,7 @@ class QVector(object):
         dim = 0
         for x in coords:
             e = _as_radext(x)
-            if e.terms:
+            if e.num:
                 pairs.append((dim, e))
             dim += 1
         if not dim:
@@ -135,10 +138,12 @@ def inner_product(u: QVector, v: QVector) -> RadExt:
     key = tuple(key)
     got = _PRODUCT_MEMO.get(key)
     if got is None:
-        acc: dict[int, Fraction] = {}
-        for k in range(0, len(key), 2):
-            _mul_into(acc, key[k].terms, key[k + 1].terms)
-        got = RadExt._raw(acc)
+        pairs = list(zip(key[::2], key[1::2]))
+        den = math.lcm(*(x.den * y.den for x, y in pairs))
+        acc: dict[int, int] = {}
+        for x, y in pairs:
+            _add_product(acc, x.num, y.num, den // (x.den * y.den))
+        got = RadExt._reduced(den, acc)
         if len(_PRODUCT_MEMO) >= PRODUCT_MEMO_MAX:
             _PRODUCT_MEMO.clear()
         _PRODUCT_MEMO[key] = got
@@ -166,12 +171,12 @@ def vec_add(u: QVector, v: QVector) -> QVector:
     acc = dict(u.entries)
     for i, e in v.entries:
         acc[i] = acc[i] + e if i in acc else e
-    return QVector._raw(u.dim, tuple((i, e) for i, e in sorted(acc.items()) if e.terms))
+    return QVector._raw(u.dim, tuple((i, e) for i, e in sorted(acc.items()) if e.num))
 
 
 def vec_scale(v: QVector, s: Coefficient) -> QVector:
     s = _as_radext(s)
-    if not s.terms:
+    if not s.num:
         return QVector._raw(v.dim, ())
     return QVector._raw(v.dim, tuple((i, s * e) for i, e in v.entries))
 

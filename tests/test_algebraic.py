@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -13,6 +14,8 @@ from qlatin.algebraic import (
     sqrt_rational,
     squarefree_decompose,
 )
+
+import fraction_reference as ref
 
 F = Fraction
 
@@ -232,3 +235,72 @@ class TestTriples:
         # only the to_triples form parses: lists of reduced integer triples
         with pytest.raises(ValueError):
             RadExt.from_triples(triples)
+
+
+# Differential tests against the Fraction-map reference in
+# fraction_reference.py: radicands up to 100, numerators and denominators up
+# to 10**6, and a different denominator on every term.
+_SQUAREFREE = [d for d in range(1, 101) if squarefree_decompose(d)[1] == d]
+_wide_rationals = st.builds(
+    Fraction,
+    st.integers(-(10**6), 10**6).filter(bool),
+    st.integers(1, 10**6),
+)
+_ref_terms = st.dictionaries(st.sampled_from(_SQUAREFREE), _wide_rationals, max_size=5)
+
+
+def _assert_reduced(x):
+    assert type(x.den) is int and x.den >= 1
+    assert math.gcd(x.den, *x.num.values()) == 1
+    for d, n in x.num.items():
+        assert type(n) is int and n != 0
+        assert squarefree_decompose(d)[1] == d
+
+
+class TestAgainstFractionReference:
+    @given(_ref_terms, _ref_terms)
+    @settings(deadline=None)
+    def test_ring_operations(self, ta, tb):
+        a, b = RadExt(ta), RadExt(tb)
+        assert a.terms == ta and b.terms == tb
+        for got, want in (
+            (a + b, ref.add(ta, tb)),
+            (a - b, ref.add(ta, ref.neg(tb))),
+            (-a, ref.neg(ta)),
+            (a * b, ref.mul(ta, tb)),
+        ):
+            _assert_reduced(got)
+            assert got.terms == want
+            assert got.sign() == ref.sign(want)
+
+    @given(_ref_terms, _ref_terms)
+    @settings(deadline=None)
+    def test_sign_of_differences(self, ta, tb):
+        # mixed-sign sums are the ones that reach the interval loop
+        assert (RadExt(ta) - RadExt(tb)).sign() == ref.sign(ref.add(ta, ref.neg(tb)))
+
+    @given(_ref_terms)
+    @settings(deadline=None)
+    def test_triples(self, ta):
+        a = RadExt(ta)
+        assert a.to_triples() == ref.to_triples(ta)
+        parsed = RadExt.from_triples(ref.to_triples(ta))
+        _assert_reduced(parsed)
+        assert parsed == a and hash(parsed) == hash(a)
+        assert parsed.terms == ta
+
+    @given(_ref_terms, _ref_terms, _ref_terms)
+    @settings(deadline=None)
+    def test_equal_values_hash_equal_by_any_route(self, tx, ty, tz):
+        x, y, z = RadExt(tx), RadExt(ty), RadExt(tz)
+        routes = [
+            ((x * y) * z, x * (y * z)),
+            ((x + y) + z, x + (y + z)),
+            (x * (y + z), x * y + x * z),
+            (x * y, RadExt.from_triples(ref.to_triples(ref.mul(tx, ty)))),
+            (x + y - y, RadExt.from_triples(ref.to_triples(tx))),
+        ]
+        for p, q in routes:
+            _assert_reduced(p)
+            _assert_reduced(q)
+            assert p == q and hash(p) == hash(q)

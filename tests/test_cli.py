@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlatin
-from qlatin import claims
+from qlatin import claims, cli, qls_core
 from qlatin.cli import main
 from qlatin.generators import realize_generator
 from qlatin.qls_core import grid_from_json, grid_to_json
@@ -151,6 +151,25 @@ class TestVerifyFailures:
         assert code == 1 and "FAIL" in err
         code, _, err = run_cli(capsys, "cardinality", str(path))
         assert code == 1
+
+    def test_failing_cardinality_verifies_once(self, capsys, tmp_path, monkeypatch):
+        _, out, _ = run_cli(capsys, "gen", "H(0)")
+        obj = json.loads(out)
+        row = obj["cells"][0]
+        row[0], row[1] = row[1], row[0]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(obj))
+        _, _, verify_err = run_cli(capsys, "verify", str(path))
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return qls_core.verify_qls(g)
+
+        monkeypatch.setattr(cli, "verify_qls", counted)
+        code, out, err = run_cli(capsys, "cardinality", str(path))
+        assert (code, out, len(calls)) == (1, "", 1)
+        assert err == verify_err and err.startswith("FAIL: ")
 
     def test_malformed_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"

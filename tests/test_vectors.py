@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlatin import vectors
-from qlatin.algebraic import ONE, ZERO, RadExt, _mul_into, sqrt_rational
+from qlatin.algebraic import ONE, ZERO, RadExt, sqrt_rational
 from qlatin.vectors import (
     QVector,
     basis_vector,
@@ -225,6 +226,8 @@ class TestProductMemo:
     @given(st.integers(1, 16), picks, picks)
     @settings(deadline=None, max_examples=300)
     def test_matches_a_fresh_sum(self, dim, a, b):
+        from fraction_reference import _mul_into
+
         u, v = _sparse(dim, a), _sparse(dim, b)
         acc = {}
         right = dict(v.entries)
@@ -240,3 +243,40 @@ class TestProductMemo:
             got = inner_product(QVector([F(1, k), 0]), QVector([k, 1]))
             assert got == ONE
             assert 0 < len(vectors._PRODUCT_MEMO) <= cap
+
+
+# wide coefficients: numerators and denominators up to 10**6, a different
+# denominator on every term
+_wide_terms = st.dictionaries(
+    st.sampled_from([1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 30, 97]),
+    st.builds(F, st.integers(-(10**6), 10**6).filter(bool), st.integers(1, 10**6)),
+    max_size=3,
+)
+
+
+@st.composite
+def _line_pair(draw):
+    """Two lines of one dimension, as lists of term maps: dense (every
+    coordinate nonzero) or sparse (mostly zero)."""
+    dim = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        coord = _wide_terms.filter(bool)
+    else:
+        coord = st.one_of(st.just({}), st.just({}), _wide_terms)
+    line = st.lists(coord, min_size=dim, max_size=dim)
+    return draw(line), draw(line)
+
+
+class TestInnerProductReference:
+    @given(_line_pair())
+    @settings(deadline=None)
+    def test_matches_the_reference_sum(self, pair):
+        from fraction_reference import _mul_into
+
+        tu, tv = pair
+        acc = {}
+        for a, b in zip(tu, tv):
+            _mul_into(acc, a, b)
+        got = inner_product(QVector(map(RadExt, tu)), QVector(map(RadExt, tv)))
+        assert got.terms == acc
+        assert got.den >= 1 and math.gcd(got.den, *got.num.values()) == 1
