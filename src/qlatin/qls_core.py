@@ -4,15 +4,19 @@ verification, and cardinality counting.
 A grid of order n passes verification when all n*n cells are unit vectors
 and every row and every column is pairwise orthogonal; n orthonormal
 vectors in dimension n are automatically a basis. Within a line, only the
-pairs of cells that share a nonzero coordinate are tested, in ascending
-(p, q) order: a pair with disjoint supports is orthogonal by structure, and
-the first violation found is the one a scan of all pairs finds. A row
+pairs of cells that share a nonzero coordinate are tested, each once, as
+read from an index of the cells holding each coordinate: a pair with
+disjoint supports is orthogonal by structure, and the violation reported is
+the least failing (p, q), the one a scan of all pairs finds first. A row
 rectangle passes when its cells are units and each row is orthogonal; its
 columns are not checked, so repeated rows pass. Cardinality is the size of
 the set of phase-equivalence classes of the cells, each class held as its
-canonical form (`canonical_set`); an independent oracle recounts them by
-exact inner products, bucketed on each cell's support and squared
-coefficients, without the canonical form.
+canonical form (`canonical_set`), which decides the sign of each distinct
+leading coefficient and negates each distinct coefficient once per call; an
+independent oracle recounts them by exact inner products, bucketed on each
+cell's support and squared coefficients, without the canonical form, and
+squares each distinct coefficient and inner product once per call. Those
+tables are locals of one call, so they never outgrow its grid.
 
 Grid JSON costs time and memory in proportion to a grid's nonzero
 coordinates, not its n^3 coordinates, and its bytes are those of
@@ -42,14 +46,14 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from typing import Iterable, NamedTuple, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebraic import ONE, RadExt
 from .vectors import (
     QVector,
-    canonicalize,
+    _canonical,
     inner_product,
-    phase_equal_by_inner,
     _vector_from_json_dict,
     vector_to_json_dict,
 )
@@ -134,6 +138,20 @@ class RowQLR(object):
         return f"RowQLR({self.rows}x{self.cols})"
 
 
+class _Table(dict):
+    """f(e) for each distinct value e, computed on its first lookup.
+    A table is a local of one call, so it never outgrows that call's input."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable[[RadExt], object]):
+        self.f = f
+
+    def __missing__(self, e: RadExt):
+        x = self[e] = self.f(e)
+        return x
+
+
 def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
     for index, cells in enumerate(lines):
         # positions holding each coordinate, ascending
@@ -141,15 +159,18 @@ def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationR
         for p, v in enumerate(cells):
             for i, _ in v.entries:
                 holders.setdefault(i, []).append(p)
-        for p, u in enumerate(cells):
-            partners = {q for i, _ in u.entries for q in holders[i] if q > p}
-            for q in sorted(partners):
-                if not inner_product(u, cells[q]).is_zero:
-                    return VerificationReport(
-                        ok=False,
-                        message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
-                        location=(kind, index, p, q),
-                    )
+        # each pair that shares a coordinate, once; equal holder lists (all of
+        # them in a dense line) give equal pairs, so each is expanded once
+        groups = {tuple(h) for h in holders.values() if len(h) > 1}
+        pairs = {pq for h in groups for pq in combinations(h, 2)}
+        bad = [(p, q) for p, q in pairs if not inner_product(cells[p], cells[q]).is_zero]
+        if bad:
+            p, q = min(bad)
+            return VerificationReport(
+                ok=False,
+                message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
+                location=(kind, index, p, q),
+            )
     return None
 
 
@@ -212,20 +233,25 @@ def cardinality_oracle(g: QLSGrid) -> int:
     vectors <u,v>^2 = 1 exactly when u = +-v. Since u = +-v forces the same
     support and the same squared coefficients, cells are bucketed on those,
     and each cell is compared only with the first member of every class
-    found so far in its bucket.
+    found so far in its bucket. One table squares each distinct value once,
+    coefficient and inner product alike.
     """
+    squares = _Table(lambda e: e * e)
     buckets: dict[tuple, list[QVector]] = {}
     for row in g.cells:
         for v in row:
-            firsts = buckets.setdefault(tuple((i, e * e) for i, e in v.entries), [])
-            if not any(phase_equal_by_inner(v, w) for w in firsts):
+            firsts = buckets.setdefault(tuple((i, squares[e]) for i, e in v.entries), [])
+            if not any(squares[inner_product(v, w)] == ONE for w in firsts):
                 firsts.append(v)
     return sum(len(firsts) for firsts in buckets.values())
 
 
 def canonical_set(cells: Iterable[QVector]) -> frozenset[QVector]:
-    """Canonical representatives of an arbitrary bag of vectors."""
-    return frozenset(canonicalize(v) for v in cells)
+    """Canonical representatives of an arbitrary bag of vectors, as
+    canonicalize gives them; each distinct coefficient's sign() and negation
+    is computed once per call."""
+    sign, neg = _Table(RadExt.sign).__getitem__, _Table(RadExt.__neg__).__getitem__
+    return frozenset(_canonical(v, sign, neg) for v in cells)
 
 
 def distinct_elements(g: QLSGrid) -> frozenset[QVector]:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .algebraic import ONE, ZERO, RadExt, _add_product
 
@@ -185,11 +185,19 @@ def vec_neg(v: QVector) -> QVector:
     return QVector._raw(v.dim, tuple((i, -e) for i, e in v.entries))
 
 
+def _canonical(
+    v: QVector, sign: Callable[[RadExt], int], neg: Callable[[RadExt], RadExt]
+) -> QVector:
+    """v with its first nonzero coordinate made positive, given how to take
+    a coefficient's sign and its negation."""
+    if v.entries and sign(v.entries[0][1]) < 0:
+        return QVector._raw(v.dim, tuple((i, neg(e)) for i, e in v.entries))
+    return v
+
+
 def canonicalize(v: QVector) -> QVector:
     """The phase-class representative: first nonzero coordinate made positive."""
-    if v.entries and v.entries[0][1].sign() < 0:
-        return vec_neg(v)
-    return v
+    return _canonical(v, RadExt.sign, RadExt.__neg__)
 
 
 def phase_equal(u: QVector, v: QVector) -> bool:

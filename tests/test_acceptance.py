@@ -7,6 +7,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlatin.generators import (
     make_V,
@@ -15,11 +17,12 @@ from qlatin.generators import (
     realize_generator,
     y_matrices,
 )
-from qlatin.algebraic import ZERO, sqrt_rational
+from qlatin.algebraic import ZERO, RadExt, sqrt_rational
 from qlatin.qls_core import (
     QLSGrid,
     RowQLR,
     VerificationReport,
+    canonical_set,
     cardinality,
     cardinality_oracle,
     distinct_elements,
@@ -35,12 +38,12 @@ from qlatin.synthesis import (
     synth,
     valid_cardinalities,
 )
-from qlatin.vectors import QVector, phase_equal_by_inner, vec_neg, vec_scale
+from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, vec_neg, vec_scale
 
-SWEEP_M = (2, 3, 4, 5)
+SWEEP_M = (2, 3, 4, 5, 6)
 # criterion 8 recounts every swept grid up to this order with the oracle;
 # it may rise over time, never fall
-ORACLE_MAX_ORDER = 20
+ORACLE_MAX_ORDER = 24
 
 # every named block the library can emit, for the oracle and n+1 checks
 GENERATOR_IDS = (
@@ -76,7 +79,7 @@ def _require(claims_by_id, *ids):
 
 def test_criterion_01_full_sweep_exact_cardinalities(sweep_records):
     per_m = Counter(r[0] for r in sweep_records)
-    assert per_m == {2: 56, 3: 132, 4: 240, 5: 380}
+    assert per_m == {2: 56, 3: 132, 4: 240, 5: 380, 6: 552}
     bad = [(m, c) for m, c, _, ok, counted, _ in sweep_records if not ok or counted != c]
     assert not bad, f"failed targets: {bad[:5]}"
     print(
@@ -196,6 +199,49 @@ def test_bucketed_oracle_matches_pairwise_reference():
     assert cardinality_oracle(shared_bucket[0]) == 2
 
 
+def _unit_pool():
+    """Unit vectors of dimension 4, several pairs of them sharing a support
+    and squared coefficients without sharing a phase class."""
+    h, t, s = sqrt_rational(Fraction(1, 2)), sqrt_rational(Fraction(1, 3)), sqrt_rational(Fraction(2, 3))
+    a, b = Fraction(3, 5), Fraction(4, 5)
+    return [basis_vector(4, k) for k in range(4)] + [
+        QVector(coords)
+        for coords in (
+            (h, h, 0, 0), (h, -h, 0, 0), (0, h, 0, h), (0, -h, 0, h),
+            (a, 0, b, 0), (a, 0, -b, 0), (0, b, a, 0), (t, 0, 0, s), (-t, 0, 0, s),
+        )
+    ]
+
+
+_UNITS = _unit_pool()
+
+
+def _copy(v):
+    """v with every coefficient an equal but distinct object."""
+    return QVector._raw(v.dim, tuple((i, RadExt.from_triples(e.to_triples())) for i, e in v.entries))
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_UNITS) - 1), st.integers(0, 2)), min_size=16, max_size=16))
+@settings(deadline=None)
+def test_bucketed_oracle_matches_pairwise_reference_on_random_grids(picks):
+    # each cell is a shared pool vector, its negation, or an equal copy, so
+    # classes repeat across cells under all three disguises
+    cells = [(_UNITS[k], vec_neg(_UNITS[k]), _copy(_UNITS[k]))[how] for k, how in picks]
+    g = QLSGrid([cells[r * 4:r * 4 + 4] for r in range(4)])
+    assert cardinality_oracle(g) == _pairwise_oracle(g) == len(canonical_set(cells))
+
+
+@given(st.lists(st.tuples(st.integers(0, len(_UNITS) - 1), st.booleans()), min_size=16, max_size=16))
+@settings(deadline=None)
+def test_verification_matches_full_pair_reference_on_random_grids(picks):
+    # random cells mostly fail, with several failing pairs per line
+    cells = [vec_neg(_UNITS[k]) if neg else _UNITS[k] for k, neg in picks]
+    g = QLSGrid([cells[r * 4:r * 4 + 4] for r in range(4)])
+    assert verify_qls(g) == _reference_verify_qls(g)
+    rect = RowQLR(g.cells)
+    assert verify_row_qlr(rect) == _reference_verify_row_qlr(rect)
+
+
 def _dense_inner(u, v):
     """Reference inner product over every coordinate, zeros included."""
     return sum((a * b for a, b in zip(u.dense(), v.dense())), ZERO)
@@ -256,7 +302,24 @@ def _corruptions(g):
         out.append(_replace(g, {(r, c1): g.cells[r][c2], (r, c2): g.cells[r][c1]}))
     out.append(_replace(g, {(n - 1, n // 2): vec_scale(g.cells[n - 1][n // 2], 2)}))
     out.append(_replace(g, {(0, 1): flips[(0, n - 1)], (n - 1, 0): vec_scale(g.cells[n - 1][0], 2)}))
+    crossed = _crossed_pairs(g)
+    if crossed is not None:
+        out.append(crossed)
     return out
+
+
+def _crossed_pairs(g):
+    """A grid whose first row with a multi-coordinate cell at position 0
+    fails on two pairs: |b> at position 1 and |a> at position n - 1, for a < b
+    the ends of that cell's support. (0, 1) is the first failing pair in
+    (p, q) order; (0, n - 1), through the lower coordinate, comes first when
+    pairs are taken coordinate by coordinate. None if no row qualifies."""
+    n = g.order
+    for r, row in enumerate(g.cells):
+        if len(row[0].entries) > 1:
+            a, b = row[0].entries[0][0], row[0].entries[-1][0]
+            return _replace(g, {(r, 1): basis_vector(n, b), (r, n - 1): basis_vector(n, a)})
+    return None
 
 
 def test_verification_matches_full_pair_reference():
@@ -275,6 +338,7 @@ def test_verification_matches_full_pair_reference():
         kinds.add(want.location[0] if want.location else "ok")
         rect = RowQLR(g.cells)
         assert verify_row_qlr(rect) == _reference_verify_row_qlr(rect), g
+    assert sum(_crossed_pairs(g) is not None for g in synthesized) == 5
     # W0 (among the blocks) has cells with full support
     assert sum(len(v.entries) == 4 for row in realize_generator("W0").cells for v in row) == 4
     assert kinds == {"ok", "unit", "row", "col"}

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import gc
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlatin import qls_core
 from qlatin.algebraic import RadExt, sqrt_rational
 from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
@@ -27,7 +29,7 @@ from qlatin.qls_core import (
     verify_row_qlr,
     _grid_from_canonical,
 )
-from qlatin.synthesis import execute_plan, plan_for
+from qlatin.synthesis import execute_plan, plan_for, synth
 from qlatin.vectors import QVector, basis_vector, canonicalize, vec_neg, vec_scale
 
 F = Fraction
@@ -119,6 +121,106 @@ class TestCounting:
     def test_canonical_set_merges_phases(self):
         v = QVector([F(3, 5), F(4, 5)])
         assert len(canonical_set([v, vec_neg(v)])) == 1
+
+    # leading coefficients whose sign needs exact intervals, and plain ones
+    _pool = (
+        RadExt({1: F(3, 5)}),
+        sqrt_rational(F(1, 2)),
+        RadExt({1: 1, 2: -1}),
+        RadExt({2: F(1, 3), 3: F(-2, 7)}),
+        RadExt({1: F(-1, 4), 5: F(1, 9), 6: 2}),
+    )
+    _negated = tuple(-e for e in _pool)
+
+    @classmethod
+    def _coefficient(cls, pick):
+        # one shared object, an equal but distinct object, a shared negation,
+        # or a fresh negation
+        k, how = pick
+        e = cls._pool[k]
+        return (e, RadExt.from_triples(e.to_triples()), cls._negated[k], -e)[how]
+
+    @given(
+        st.lists(
+            st.dictionaries(
+                st.integers(0, 3),
+                st.tuples(st.integers(0, len(_pool) - 1), st.integers(0, 3)),
+                max_size=4,
+            ),
+            max_size=12,
+        ),
+        st.integers(1, 3),
+    )
+    @settings(deadline=None)
+    def test_canonical_set_matches_canonicalize(self, picks, stride):
+        cells = [QVector([self._coefficient(d[i]) if i in d else 0 for i in range(4)]) for d in picks]
+        cells += [vec_neg(v) for v in cells[::stride]]
+        got = canonical_set(cells)
+        assert got == frozenset(canonicalize(v) for v in cells)
+        assert all(v.entries[0][1].sign() > 0 for v in got if v.entries)
+
+
+# Work per call on a fresh copy of synth(m, c): verify_qls, then cardinality
+# on the verified copy, then cardinality_oracle. A counter that a call does
+# not name is held at zero. These are counts, not times, so a regression
+# fails the same way on any host. A change that cuts work lowers a ceiling
+# and says so in CHANGES.md; a ceiling may only fall, never be raised to pass.
+WORK_CEILINGS = {
+    (2, 40): {
+        "verify": {"inner_product": 140},
+        "count": {"sign": 19, "neg": 18},
+        "oracle": {"mul": 24, "inner_product": 32},
+    },
+    (4, 200): {
+        "verify": {"inner_product": 668},
+        "count": {"sign": 39, "neg": 38},
+        "oracle": {"mul": 46, "inner_product": 108},
+    },
+    (8, 500): {
+        "verify": {"inner_product": 2072},
+        "count": {"sign": 90, "neg": 89},
+        "oracle": {"mul": 107, "inner_product": 648},
+    },
+    (16, 2000): {
+        "verify": {"inner_product": 8444},
+        "count": {"sign": 184, "neg": 183},
+        "oracle": {"mul": 216, "inner_product": 2600},
+    },
+}
+
+
+@pytest.mark.parametrize("target", sorted(WORK_CEILINGS), ids=lambda t: "synth(%d,%d)" % t)
+def test_work_stays_under_its_ceiling(target, monkeypatch):
+    g = synth(*target)[1]
+    counts = Counter()
+
+    def counting(name, f):
+        def counted(*args):
+            counts[name] += 1
+            return f(*args)
+
+        return counted
+
+    for name, owner, attr in (
+        ("sign", RadExt, "sign"),
+        ("neg", RadExt, "__neg__"),
+        ("mul", RadExt, "__mul__"),
+        ("inner_product", qls_core, "inner_product"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
+    copy = QLSGrid(g.cells)
+    spent = {}
+    for call, run in (("verify", verify_qls), ("count", cardinality), ("oracle", cardinality_oracle)):
+        counts.clear()
+        run(copy)
+        spent[call] = dict(counts)
+    over = {
+        (call, name): (n, WORK_CEILINGS[target][call].get(name, 0))
+        for call, used in spent.items()
+        for name, n in used.items()
+        if n > WORK_CEILINGS[target][call].get(name, 0)
+    }
+    assert not over, f"(work, ceiling) above the ceiling: {over}"
 
 
 class TestSerialization:
