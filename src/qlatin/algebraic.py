@@ -35,8 +35,11 @@ def _decompose(n: int) -> tuple[int, int]:
     p = 2
     while p * p <= n:
         if p > TRIAL_DIVISION_BOUND:
+            # a long radicand is named by its size: its digits would make the
+            # message as long as the input, or too long for str() to print
+            what = n if n.bit_length() <= 64 else f"a {n.bit_length()}-bit radicand"
             raise ValueError(
-                f"cannot factor {n}: divisor exceeds trial division bound {TRIAL_DIVISION_BOUND}"
+                f"cannot factor {what}: divisor exceeds trial division bound {TRIAL_DIVISION_BOUND}"
             )
         if n % p == 0:
             e = 0

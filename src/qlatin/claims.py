@@ -3,10 +3,32 @@ about the block families, their intersections, the displayed matrices, and
 the synthesis ranges, re-derived from scratch and reported pass/fail.
 
 Claims come in two kinds. "exact" claims are finite computations carried
-out in full. "witness" claims stand in for statements quantified over all
-real parameters; they are checked on a rational witness grid (default
-bound 4) and labeled as such, since a finite computation cannot exhaust
-the reals.
+out in full; some of them prove a statement for every real parameter, as
+below. "witness" claims, the three `separations/*` claims, describe zero
+sets over all real parameters; they are checked on a rational witness grid
+(default bound 4) and labeled as such, since a finite computation cannot
+exhaust the reals.
+
+The four identity claims (`blocks/rotation-orthonormality`,
+`matrices/y-orthonormal`, `matrices/y-column-bases` and
+`product/w-matches-row-matrix-display`) are proved on one fixed grid. Write
+a = tan(theta) with theta in (-pi/2, pi/2) and t = tan(theta/2) in (-1, 1),
+so a = 2t/(1-t^2) and each real a has exactly one such t; likewise u for b.
+The generators' coefficients are then cos(theta) = sqrt(1/(1+a^2)) =
+(1-t^2)/(1+t^2) and sin(theta) = a cos(theta) = 2t/(1+t^2), some divided
+by sqrt(2). Every entry of a rotation block, of W(a, b) and of the Y
+matrices is linear in (cos, sin) of one parameter, so each checked quantity
+is a polynomial of degree <= 2 in (cos, sin) of a and of b, that is
+N(t, u)/((1+t^2)(1+u^2))^2 with N of degree <= 4 in t and in u. That holds
+for the inner products of the orthonormality checks, and for the 2x2
+minors x_i y_j - x_j y_i of a W cell x and a Y column y: these all vanish
+exactly when x is parallel to y, so, both being unit vectors by the other
+identities, exactly when x and y are phase-equal. A polynomial of degree
+<= 4 in each variable that vanishes on a 5 x 5 grid is zero (N. Alon,
+Combinatorial Nullstellensatz, Lemma 2.1). So the claims run on the 25
+points of PROOF_A x PROOF_B below, whose sines and cosines are rational and
+decided exactly by `RadExt`, and passing there proves each identity for
+every real a and b; the rotation blocks, with one parameter, run on PROOF_A.
 """
 
 from __future__ import annotations
@@ -68,6 +90,14 @@ F = Fraction
 
 # the W(2k-1,2k) squares checked, k = 1..W_PAIRWISE_BOUND
 W_PAIRWISE_BOUND = 10
+# the proof grid: a = 2t/(1-t^2) for t in {0, +-1/2, +-1/3} on the a side and
+# t in {+-1/4, +-1/5, 2/3} on the b side; the sides are disjoint, so a != b
+PROOF_A = (F(0), F(4, 3), F(-4, 3), F(3, 4), F(-3, 4))
+PROOF_B = (F(8, 15), F(-8, 15), F(5, 12), F(-5, 12), F(12, 5))
+_PROOF_PAIRS = [(a, b) for a in PROOF_A for b in PROOF_B]
+_A_SIDE = "a = 2t/(1-t^2), t in {0,+-1/2,+-1/3}"
+_B_SIDE = "b = 2u/(1-u^2), u in {+-1/4,+-1/5,2/3}"
+_ON_PROOF_GRID = f"on the 5 x 5 proof grid {_A_SIDE} by {_B_SIDE}, so for every real a, b"
 # the m at which coverage, reachable sums and tail disjointness are checked
 COVERAGE_M = (3, 4, 5)
 DP_M = (3, 4, 5, 6, 7, 8)
@@ -76,7 +106,9 @@ DISJOINT_M = (3, 4, 5)
 
 @dataclass(frozen=True)
 class ClaimConfig:
-    """What the command line sets: `--witness-bound` and `--m`."""
+    """What the command line sets: `--witness-bound`, the bound of the
+    rational witness grid of the three `separations/*` claims, and `--m`,
+    the orders the synthesis sweep builds."""
 
     witness_bound: int = 4
     sweep_m: tuple[int, ...] = (2, 3)
@@ -104,12 +136,6 @@ def _witness_values(bound: int) -> tuple[Fraction, ...]:
     return tuple(sorted(vals))
 
 
-def _witness_pairs(cfg: ClaimConfig) -> list[tuple[Fraction, Fraction]]:
-    """The ordered pairs (a, b) of distinct witness values."""
-    vals = _witness_values(cfg.witness_bound)
-    return [(a, b) for a in vals for b in vals if a != b]
-
-
 def _classes(*grids: QLSGrid) -> frozenset[QVector]:
     """The phase classes of the grids together."""
     return frozenset().union(*(distinct_elements(g) for g in grids))
@@ -132,14 +158,13 @@ def _block_set(family: str, a: Fraction) -> frozenset[QVector]:
 
 
 def _claim_rotation_blocks(cfg: ClaimConfig):
-    vals = _witness_values(cfg.witness_bound)
     for fam in "ABCD":
-        for a in vals:
+        for a in PROOF_A:
             bad = check_orthonormal(make_block(fam, a)[0])
             if bad is not None:
                 what = "non-unit cell" if bad.location[0] == "unit" else "row not orthogonal"
                 return False, f"{fam}({a}): {what}"
-    return True, f"4 families x {len(vals)} parameters, all rows orthonormal"
+    return True, f"4 families, all rows orthonormal at the 5 proof values {_A_SIDE}, so for every real a"
 
 
 def _claim_family_separation(cfg: ClaimConfig):
@@ -242,12 +267,11 @@ def _claim_fixed_matrices_orthonormal(cfg: ClaimConfig):
 
 
 def _claim_y_orthonormal(cfg: ClaimConfig):
-    pairs = _witness_pairs(cfg)
-    for a, b in pairs:
+    for a, b in _PROOF_PAIRS:
         for idx, m in enumerate(y_matrices(a, b), start=1):
             if not mat_is_orthonormal(m):
                 return False, f"Y{idx} at (a,b)=({a},{b}) is not orthonormal"
-    return True, f"{len(pairs)} parameter pairs, all four Y matrices orthonormal"
+    return True, f"all four Y matrices orthonormal {_ON_PROOF_GRID}"
 
 
 def _columns_form_bases(mats) -> bool:
@@ -263,22 +287,20 @@ def _claim_x_column_bases(cfg: ClaimConfig):
 
 
 def _claim_y_column_bases(cfg: ClaimConfig):
-    pairs = _witness_pairs(cfg)
-    for a, b in pairs:
+    for a, b in _PROOF_PAIRS:
         if not _columns_form_bases(y_matrices(a, b)):
             return False, f"column families at (a,b)=({a},{b}) fail"
-    return True, f"{len(pairs)} parameter pairs, all column families orthonormal"
+    return True, f"all column families orthonormal {_ON_PROOF_GRID}"
 
 
 def _claim_w_display(cfg: ClaimConfig):
-    pairs = _witness_pairs(cfg)
-    for a, b in pairs:
+    for a, b in _PROOF_PAIRS:
         grid = make_W(a, b)
         for i, y in enumerate(y_matrices(a, b)):
             for j, expected in enumerate(columns_as_vectors(y)):
                 if not phase_equal(grid.cells[i][j], expected):
                     return False, f"cell ({i},{j}) at (a,b)=({a},{b}) mismatches the display"
-    return True, f"{len(pairs)} parameter pairs match the row-matrix display cell by cell"
+    return True, f"W(a,b) matches the row-matrix display cell by cell {_ON_PROOF_GRID}"
 
 
 def _claim_product_multiplicative(cfg: ClaimConfig):
@@ -626,13 +648,13 @@ CLAIMS: tuple[Claim, ...] = (
     ("blocks/h-family-new-counts", "exact", _claim_h_new_counts),
     ("blocks/h5-split-1-2-2", "exact", _claim_h5_split),
     ("blocks/hprime-new-counts", "exact", _claim_hprime_new_counts),
-    ("blocks/rotation-orthonormality", "witness", _claim_rotation_blocks),
+    ("blocks/rotation-orthonormality", "exact", _claim_rotation_blocks),
     ("matrices/fixed-orthonormal", "exact", _claim_fixed_matrices_orthonormal),
     ("matrices/x-column-bases", "exact", _claim_x_column_bases),
-    ("matrices/y-column-bases", "witness", _claim_y_column_bases),
-    ("matrices/y-orthonormal", "witness", _claim_y_orthonormal),
+    ("matrices/y-column-bases", "exact", _claim_y_column_bases),
+    ("matrices/y-orthonormal", "exact", _claim_y_orthonormal),
     ("product/cardinality-multiplicative", "exact", _claim_product_multiplicative),
-    ("product/w-matches-row-matrix-display", "witness", _claim_w_display),
+    ("product/w-matches-row-matrix-display", "exact", _claim_w_display),
     ("qls12/c105-square", "exact", _claim_qls12_c105),
     ("qls8/c57-square", "exact", _claim_qls8_c57),
     ("qls8/full-range", "exact", _claim_qls8_full_range),

@@ -134,7 +134,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_range)
 
     p = sub.add_parser("claims", help="re-derive and report every recorded claim")
-    p.add_argument("--witness-bound", type=int)
+    p.add_argument(
+        "--witness-bound", type=int,
+        help="witness grid bound of the three separations/* claims",
+    )
     p.add_argument("--m", type=int, action="append", help="sweep order parameter; repeatable")
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=_cmd_claims)

@@ -30,7 +30,8 @@ coordinates, not its n^3 coordinates, and its bytes are those of
   once (`JSONDecoder.raw_decode`, then `RadExt.from_triples`);
 - any other layout, and any error, falls back to `json.loads` and
   `grid_from_json_dict`, the reference that decides what is accepted and
-  what every error says.
+  what every error says; it rejects an object that repeats a key, since
+  `json.loads` would keep the last value and give one grid many encodings.
 
 Only the fallback pauses the cyclic garbage collector (restoring its
 previous state): the lists and dicts `json.loads` builds hold no cycles, so
@@ -305,6 +306,17 @@ def _gc_paused():
             gc.enable()
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict, or ValueError naming (the start of) a key it
+    repeats."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"grid JSON repeats the key {key[:40]!r}")
+        obj[key] = value
+    return obj
+
+
 _ZEROS = "[],"
 _raw_decode = json.JSONDecoder().raw_decode
 
@@ -430,7 +442,7 @@ def grid_from_json(text: str) -> QLSGrid:
         return g
     with _gc_paused():
         try:
-            obj = json.loads(text)
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("grid JSON is nested too deeply") from None
         g = grid_from_json_dict(obj)

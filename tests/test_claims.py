@@ -1,16 +1,23 @@
 import json
+from fractions import Fraction
 
 import pytest
 
-from qlatin import claims, qls_core
+from qlatin import claims, generators, qls_core
+from qlatin.algebraic import sqrt_rational
 from qlatin.claims import (
     CLAIMS,
     DISPLAYED_PRODUCTS,
+    PROOF_A,
+    PROOF_B,
     ClaimConfig,
     report_json,
     report_text,
     run_all_claims,
 )
+from qlatin.generators import mat, y_matrices
+
+_SEPARATIONS = {"separations/c-vs-a-and-b", "separations/d-vs-a-and-b", "separations/within-family"}
 
 
 def test_registry_shape():
@@ -19,6 +26,8 @@ def test_registry_shape():
     assert len(set(ids)) == len(ids)
     kinds = {kind for _, kind, _ in CLAIMS}
     assert kinds == {"exact", "witness"}
+    # only statements about zero sets are sampled; every identity is proved
+    assert {claim_id for claim_id, kind, _ in CLAIMS if kind == "witness"} == _SEPARATIONS
 
 
 def test_displayed_products_are_complete():
@@ -120,13 +129,74 @@ def test_class_set_fail_details(monkeypatch, claim_id, extra, detail):
     "claim_id,name,stub,detail",
     [
         ("matrices/y-orthonormal", "mat_is_orthonormal", lambda m: False,
-         "Y1 at (a,b)=(-1,0) is not orthonormal"),
+         "Y1 at (a,b)=(0,8/15) is not orthonormal"),
         ("matrices/y-column-bases", "_columns_form_bases", lambda mats: False,
-         "column families at (a,b)=(-1,0) fail"),
+         "column families at (a,b)=(0,8/15) fail"),
         ("product/w-matches-row-matrix-display", "phase_equal", lambda u, v: False,
-         "cell (0,0) at (a,b)=(-1,0) mismatches the display"),
+         "cell (0,0) at (a,b)=(0,8/15) mismatches the display"),
     ],
 )
 def test_witness_pair_fail_details(monkeypatch, claim_id, name, stub, detail):
     monkeypatch.setattr(claims, name, stub)
     assert _claim(claim_id)(_SMALL) == (False, detail)
+
+
+# The proof grid of the four identity claims; why 5 x 5 points prove them
+# for every real a, b is in the qlatin.claims docstring.
+
+
+def test_proof_grid_sides_are_five_distinct_disjoint_values():
+    assert len(set(PROOF_A)) == len(PROOF_A) == 5
+    assert len(set(PROOF_B)) == len(PROOF_B) == 5
+    assert not set(PROOF_A) & set(PROOF_B)
+
+
+@pytest.mark.parametrize("a", PROOF_A + PROOF_B, ids=str)
+def test_proof_value_is_a_half_angle_tangent(a):
+    cos = sqrt_rational(1 / (1 + a * a))
+    assert set(cos.num) <= {1}  # rational: the cosine is (1-t^2)/(1+t^2)
+    cos = Fraction(cos.num.get(1, 0), cos.den)
+    t = a * cos / (1 + cos)  # tan(theta/2) = sin/(1 + cos)
+    assert abs(t) < 1 and 2 * t / (1 - t * t) == a
+
+
+def _y3_sign_flipped(a, b):
+    """y_matrices with the sign of Y3's entry (0,0), -a/sqrt(2+2a^2), flipped:
+    a wrong display that is still right at a = 0."""
+    y1, y2, y3, y4 = y_matrices(a, b)
+    rows = [list(row) for row in y3]
+    rows[0][0] = -rows[0][0]
+    return y1, y2, mat(rows), y4
+
+
+@pytest.mark.parametrize(
+    "claim_id,detail",
+    [
+        ("matrices/y-orthonormal", "Y3 at (a,b)=(4/3,8/15) is not orthonormal"),
+        ("matrices/y-column-bases", "column families at (a,b)=(4/3,8/15) fail"),
+        ("product/w-matches-row-matrix-display", "cell (2,0) at (a,b)=(4/3,8/15) mismatches the display"),
+    ],
+)
+def test_proof_grid_catches_a_sign_flip_invisible_at_zero(monkeypatch, claim_id, detail):
+    monkeypatch.setattr(claims, "y_matrices", _y3_sign_flipped)
+    assert _claim(claim_id)(ClaimConfig()) == (False, detail)
+
+
+# Work of each identity claim, counted as in tests/test_qls_core.py's
+# WORK_CEILINGS, with the rotation-block cache emptied first. A counter a
+# claim does not name is held at zero; a ceiling may only fall.
+CLAIM_WORK_CEILINGS = {
+    "blocks/rotation-orthonormality": {"mul": 158, "inner_product": 57},
+    "matrices/y-orthonormal": {"neg": 400, "inner_product": 780},
+    "matrices/y-column-bases": {"neg": 400, "inner_product": 860},
+    "product/w-matches-row-matrix-display": {"mul": 1620, "neg": 1360, "sign": 800, "inner_product": 270},
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(CLAIM_WORK_CEILINGS))
+def test_claim_work_stays_under_its_ceiling(claim_id, count_work):
+    generators.make_block.cache_clear()
+    used = count_work(_claim(claim_id), ClaimConfig())
+    ceiling = CLAIM_WORK_CEILINGS[claim_id]
+    over = {name: (n, ceiling.get(name, 0)) for name, n in used.items() if n > ceiling.get(name, 0)}
+    assert not over, f"(work, ceiling) above the ceiling: {over}"

@@ -11,13 +11,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qlatin
-from qlatin import claims, cli, qls_core
+from qlatin import algebraic, claims, cli, qls_core
 from qlatin.cli import main
 from qlatin.generators import realize_generator
 from qlatin.qls_core import grid_from_json, grid_to_json
 from qlatin.synthesis import MAX_M, execute_plan, plan_for
 
 from test_qls_core import _JSON_VALUES, _mutate, _reference_parse
+
+
+# grids that repeat a key, once at the top and once in a cell; each would
+# otherwise be accepted (the first counts to 1, the second verifies)
+_REPEATED_KEYS = (
+    '{"order":1,"provenance":"x","provenance":"","cells":[[{"dim":1,"entries":[[[1,1,1]]]}]]}',
+    '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[[]],"entries":[[[1,1,1]]]}]]}',
+)
 
 
 def run_cli(capsys, *argv):
@@ -197,10 +205,14 @@ class TestVerifyFailures:
             # a triple is a list, not an object or a string
             '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[[{"a":1,"b":1,"c":1}]]}]]}',
             '{"order":1,"provenance":"","cells":[[{"dim":1,"entries":[["abc"]]}]]}',
+            # a repeated key: json.loads would keep the last value, so one
+            # grid would have many encodings
+            *_REPEATED_KEYS,
         ],
         ids=[
             "order-true", "dim-true", "triple-true", "all-true", "deep-nesting",
             "object-coordinate", "string-coordinate", "object-triple", "string-triple",
+            "repeated-provenance", "repeated-entries",
         ],
     )
     def test_hostile_json_exits_2(self, capsys, tmp_path, text):
@@ -209,6 +221,22 @@ class TestVerifyFailures:
         for command in ("verify", "cardinality"):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 2 and out == "" and err.startswith("error:"), (command, err)
+            assert err.count("\n") == 1, (command, err)
+
+    @pytest.mark.parametrize("text,key", zip(_REPEATED_KEYS, ("provenance", "entries")))
+    def test_repeated_key_is_named(self, capsys, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        assert run_cli(capsys, "cardinality", str(path)) == (2, "", f"error: grid JSON repeats the key '{key}'\n")
+        TestFuzzedGridFiles._check(text)
+
+    def test_unfactorable_radicand_exits_2_with_a_short_line(self, capsys, monkeypatch):
+        # a lower trial-division bound fails the same way in milliseconds
+        monkeypatch.setattr(algebraic, "TRIAL_DIVISION_BOUND", 100)
+        for gid in ("A(1e2000)", "A(1e4000)"):
+            code, out, err = run_cli(capsys, "gen", gid)
+            assert code == 2 and out == "" and err.count("\n") == 1, (gid, err)
+            assert err.startswith("error: cannot factor") and len(err) < 200, (gid, err)
 
 
 def _reference_rejects(text: str) -> bool:
@@ -293,6 +321,20 @@ class TestRangeAndClaims:
         assert code == 0
         payload = json.loads(out)
         assert all(item["status"] == "pass" for item in payload)
+
+    def test_witness_bound_moves_only_the_separations(self, capsys):
+        # the identity claims are proved on a fixed grid, so the bound only
+        # resizes the witness grid of the three separation claims
+        runs = []
+        for bound in ("1", "4"):
+            code, out, _ = run_cli(capsys, "claims", "--witness-bound", bound, "--format", "json")
+            assert code == 0
+            runs.append({item["claim_id"]: item for item in json.loads(out)})
+        low, high = runs
+        assert low.keys() == high.keys() and len(low) == 34
+        moved = {cid for cid in low if low[cid] != high[cid]}
+        assert moved == {"separations/c-vs-a-and-b", "separations/d-vs-a-and-b", "separations/within-family"}
+        assert {low[cid]["kind"] for cid in moved} == {"witness"}
 
     @pytest.mark.parametrize(
         "argv,err",

@@ -79,7 +79,7 @@ GOLDEN = {
     "gen B(3)": "9bcca2d0216b3e3a830b1b5b85b85de6fc635aae028b0d3fdebe60eeccb5a375",
     "gen C(1)": "4119d86c17752d36e79dd23d310a7d6569982c977c8701e5eb60656efd0ce58a",
     "gen D(4)": "2220ec6df7960fb80f512e5b379c8d6375b81ecc5bbc9f4b33c9f959fb393123",
-    "claims --format json": "bbb04e561a46ea3b01ad7daac43b73410e3d6c199e64b210cee356af958d7c84",
+    "claims --format json": "cde404e294177e44db6e68437eb047c826f1ec8d94b611597985d78633fff1e6",
 }
 
 

@@ -1,4 +1,3 @@
-from collections import Counter
 from fractions import Fraction
 
 import gc
@@ -190,30 +189,13 @@ WORK_CEILINGS = {
 
 
 @pytest.mark.parametrize("target", sorted(WORK_CEILINGS), ids=lambda t: "synth(%d,%d)" % t)
-def test_work_stays_under_its_ceiling(target, monkeypatch):
+def test_work_stays_under_its_ceiling(target, count_work):
     g = synth(*target)[1]
-    counts = Counter()
-
-    def counting(name, f):
-        def counted(*args):
-            counts[name] += 1
-            return f(*args)
-
-        return counted
-
-    for name, owner, attr in (
-        ("sign", RadExt, "sign"),
-        ("neg", RadExt, "__neg__"),
-        ("mul", RadExt, "__mul__"),
-        ("inner_product", qls_core, "inner_product"),
-    ):
-        monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))
     copy = QLSGrid(g.cells)
-    spent = {}
-    for call, run in (("verify", verify_qls), ("count", cardinality), ("oracle", cardinality_oracle)):
-        counts.clear()
-        run(copy)
-        spent[call] = dict(counts)
+    spent = {
+        call: count_work(run, copy)
+        for call, run in (("verify", verify_qls), ("count", cardinality), ("oracle", cardinality_oracle))
+    }
     over = {
         (call, name): (n, WORK_CEILINGS[target][call].get(name, 0))
         for call, used in spent.items()
@@ -318,7 +300,7 @@ def _reference_json(g: QLSGrid) -> str:
 
 def _reference_parse(text: str) -> QLSGrid:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=qls_core._unique_keys)
     except RecursionError:
         raise ValueError("grid JSON is nested too deeply") from None
     return grid_from_json_dict(obj)
