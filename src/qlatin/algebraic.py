@@ -5,9 +5,14 @@ A value is stored as one integer denominator den >= 1 and a finite map
 sum(n * sqrt(d)) / den.  The radicand 1 carries the rational part.  The pair
 is kept in lowest terms, gcd(den, every n) = 1, with zero as den 1 and the
 empty map.  Because square roots of distinct squarefree integers are linearly
-independent over the rationals, each value then has exactly one stored form:
-a value is zero exactly when its map is empty, and equality and hashing
-compare integers, so both are purely symbolic.  The sign of a nonzero value
+independent over the rationals, each value then has exactly one stored form,
+and a value is zero exactly when its map is empty.  Values are hash-consed
+(Filliatre and Conchon, "Type-safe modular hash-consing", ML Workshop 2006):
+every constructor returns the one live object for its stored form, held in a
+weak table keyed on that form, so equality is identity and hashing is by
+address, both purely symbolic and neither running Python code when a dict or
+set looks a value up.  Scalars compared with a value are converted to a value
+first.  The sign of a nonzero value
 is decided by bounding each root with an integer square root at a binary
 precision, doubling the precision until the bounds exclude zero.
 """
@@ -15,6 +20,7 @@ precision, doubling the precision until the bounds exclude zero.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -92,14 +98,16 @@ class RadExt(object):
     The value is sum(num[d] * sqrt(d)) / den, stored in lowest terms: `den`
     is a positive int, `num` maps squarefree radicands to nonzero ints, and
     no integer > 1 divides den and every numerator.  Every constructor
-    reduces, so equal values have equal fields.  Instances are immutable by
-    contract: `den` and `num` must never be mutated after construction.
-    Arithmetic returns new objects; hashes are cached.
+    reduces, then returns the live object with those fields if there is one
+    (`_raw`), so equal values are one object: `==` between two values and
+    `hash` compare identity, and copying or pickling returns the same object.
+    Instances are immutable by contract, since they are shared: `den` and
+    `num` must never be mutated after construction.
     """
 
-    __slots__ = ("den", "num", "_hash")
+    __slots__ = ("den", "num", "__weakref__")
 
-    def __init__(self, terms: Mapping[int, Scalar] = ()):
+    def __new__(cls, terms: Mapping[int, Scalar] = ()) -> "RadExt":
         parts = []
         for d, q in dict(terms).items():
             if not isinstance(d, int):
@@ -111,16 +119,19 @@ class RadExt(object):
         acc: dict[int, int] = {}
         for rad, n, r in parts:
             acc[rad] = acc.get(rad, 0) + n * (den // r)
-        x = RadExt._reduced(den, acc)
-        self.den, self.num, self._hash = x.den, x.num, None
+        return cls._reduced(den, acc)
 
     @classmethod
     def _raw(cls, den: int, num: dict[int, int]) -> "RadExt":
-        # internal fast path: (den, num) already in lowest terms
-        self = object.__new__(cls)
-        self.den = den
-        self.num = num
-        self._hash = None
+        """internal: the one live object for (den, num), which must already be
+        in lowest terms; every constructor ends here."""
+        key = (den, *sorted(num.items()))
+        self = _LIVE.get(key)
+        if self is None:
+            self = object.__new__(cls)
+            self.den = den
+            self.num = num
+            _LIVE[key] = self
         return self
 
     @classmethod
@@ -200,14 +211,17 @@ class RadExt(object):
             other = _coerce(other)
             if other is NotImplemented:
                 return NotImplemented
-        return self.den == other.den and self.num == other.num
+        # one object per value: identity is equality
+        return self is other
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.den, tuple(sorted(self.num.items()))))
-            self._hash = h
-        return h
+    # by address, which is stable while the object lives, and equal values
+    # are one object
+    __hash__ = object.__hash__
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle go through _raw, so they return the
+        # interned object instead of writing fields into a fresh one
+        return RadExt._raw, (self.den, self.num)
 
     def sign(self) -> int:
         """-1, 0 or +1.  Zero is symbolic; nonzero is decided by exact intervals."""
@@ -317,6 +331,11 @@ class _Terms(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
+
+
+#: Every live RadExt, keyed on its lowest-terms (den, *sorted(num.items()));
+#: held weakly, so a value no longer referenced leaves the table.
+_LIVE: "weakref.WeakValueDictionary[tuple, RadExt]" = weakref.WeakValueDictionary()
 
 
 def _coerce(x: "RadExt | Scalar") -> RadExt:

@@ -9,6 +9,7 @@ matrix M read cell vectors off the columns of M: row i of the grid is
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Container, NamedTuple, Sequence
@@ -316,6 +317,29 @@ def _check_index(tag: str, idx) -> None:
         )
 
 
+#: Largest size of one generator parameter: its length in characters plus
+#: the magnitude of its exponent, which bounds the decimal digits of its
+#: numerator and denominator. Fixed, so one name has one answer; it keeps every
+#: parameter printable by str() and its value built in bounded memory.
+PARAM_MAX_SIZE = 4096
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _parse_param(t: str, text: str) -> Fraction:
+    """One parameter of the name `text`, refused by size before it is built."""
+    exp = _EXPONENT.search(t) if len(t) <= PARAM_MAX_SIZE else None
+    size = len(t) + (abs(int(exp.group(1))) if exp else 0)
+    if size > PARAM_MAX_SIZE:
+        raise ValueError(
+            f"generator parameter of size {size} (characters plus exponent) "
+            f"exceeds the bound {PARAM_MAX_SIZE}"
+        )
+    try:
+        return Fraction(t)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad parameter in generator name {text!r}: {exc}") from None
+
+
 def parse_generator_id(text: str) -> GeneratorId:
     s = text.strip()
     if "(" in s:
@@ -323,10 +347,7 @@ def parse_generator_id(text: str) -> GeneratorId:
             raise ValueError(f"malformed generator name: {text!r}")
         tag, arglist = s[:-1].split("(", 1)
         tag = tag.strip()
-        try:
-            params = tuple(Fraction(t.strip()) for t in arglist.split(","))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad parameter in generator name {text!r}: {exc}") from None
+        params = tuple(_parse_param(t.strip(), text) for t in arglist.split(","))
     else:
         tag, params = s, ()
     spec = _GENERATORS.get(tag)

@@ -36,10 +36,12 @@ coordinates, not its n^3 coordinates, and its bytes are those of
 Only the fallback pauses the cyclic garbage collector (restoring its
 previous state): the lists and dicts `json.loads` builds hold no cycles, so
 reference counting frees them, and the collector's passes over millions of
-young containers would cost more than the parse. Equal coefficients read
-from one grid are one object, so inner products hit their memo by identity:
-a value has one encoding, which the streamed reader decodes once, and the
-fallback interns values on their validated triples.
+young containers would cost more than the parse. Equal coefficients are one
+object however they were built or read (`RadExt` is hash-consed), so the
+inner-product memo and the per-call tables find them by address and
+identity, and a cell is a unit vector when its square norm `is ONE`; the
+streamed reader's text-keyed cache only saves decoding a coordinate text
+twice.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .vectors import (
     QVector,
     _canonical,
     inner_product,
-    _vector_from_json_dict,
+    vector_from_json_dict,
     vector_to_json_dict,
 )
 
@@ -178,7 +180,7 @@ def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationR
 def _check_units(rows: Sequence[Sequence[QVector]]) -> VerificationReport | None:
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
-            if inner_product(v, v) != ONE:
+            if inner_product(v, v) is not ONE:
                 return VerificationReport(
                     ok=False,
                     message=f"cell ({r},{c}) is not a unit vector",
@@ -242,7 +244,7 @@ def cardinality_oracle(g: QLSGrid) -> int:
     for row in g.cells:
         for v in row:
             firsts = buckets.setdefault(tuple((i, squares[e]) for i, e in v.entries), [])
-            if not any(squares[inner_product(v, w)] == ONE for w in firsts):
+            if not any(squares[inner_product(v, w)] is ONE for w in firsts):
                 firsts.append(v)
     return sum(len(firsts) for firsts in buckets.values())
 
@@ -285,12 +287,11 @@ def grid_from_json_dict(obj: dict) -> QLSGrid:
         raise ValueError("provenance must be a string")
     if not isinstance(cells, list) or len(cells) != order:
         raise ValueError("cells must be an order x order array")
-    interned: dict = {}
     rows = []
     for row in cells:
         if not isinstance(row, list) or len(row) != order:
             raise ValueError("cells must be an order x order array")
-        rows.append([_vector_from_json_dict(v, interned) for v in row])
+        rows.append([vector_from_json_dict(v) for v in row])
     return QLSGrid(rows, provenance=prov)
 
 

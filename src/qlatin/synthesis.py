@@ -341,17 +341,22 @@ def execute_plan(plan: SynthPlan) -> QLSGrid:
     """Assemble the grid a plan describes, then re-verify and re-count it."""
     m = plan.m
     order = 4 * m
+    # each distinct name is parsed and realized once, in slot order, so a
+    # bad name is reported at its first slot
+    blocks = {}
+    for gid in dict.fromkeys(name for diag in plan.diagonals for name in diag):
+        block = realize_generator(gid)
+        if block.order != 4:
+            raise ValueError(f"generator {gid} is not an order-4 block")
+        blocks[gid] = block.cells
     cells = [[None] * order for _ in range(order)]
     for j, diag in enumerate(plan.diagonals):
         prefix = basis_vector(m, j)
         for i, gid in enumerate(diag):
-            block = realize_generator(gid)
-            if block.order != 4:
-                raise ValueError(f"generator {gid} is not an order-4 block")
             bj = (i + j) % m
             for k in range(4):
                 row = cells[i * 4 + k]
-                bcells = block.cells[k]
+                bcells = blocks[gid][k]
                 for l in range(4):
                     row[bj * 4 + l] = tensor(prefix, bcells[l])
     grid = QLSGrid(

@@ -11,9 +11,9 @@ A grid holds few distinct coefficients (about 200 at order 64), so
 coefficient pairs at the shared indices; the memo holds at most
 `PRODUCT_MEMO_MAX` (1024) entries and is cleared when full. A miss adds the
 integer numerator products over the lcm of the pairs' denominators and reduces
-the sum once. Cells that share a block share its coefficient objects, and grid
-JSON parsing interns equal coefficients, so most memo lookups compare by
-identity; the rest compare integers, since a value has one stored form.
+the sum once. Equal coefficients are one object, however they were made
+(`RadExt` is hash-consed), so a memo lookup hashes addresses and compares
+identities, with no Python-level call, across every grid in the process.
 
 Vectors are real here: phase equivalence collapses to equality up to -1, and
 the canonical representative of a phase class is the vector whose first
@@ -247,12 +247,7 @@ def vector_to_json_dict(v: QVector) -> dict:
 
 
 def vector_from_json_dict(obj: dict) -> QVector:
-    return _vector_from_json_dict(obj, {})
-
-
-def _vector_from_json_dict(obj: dict, interned: dict[tuple, RadExt]) -> QVector:
-    """Parse one vector; a coefficient whose triples are already in `interned`
-    is replaced by that object, so equal values read from one grid share it."""
+    """Parse one vector from its dense JSON form, validating every coordinate."""
     if not isinstance(obj, dict) or set(obj) != {"dim", "entries"}:
         raise ValueError("vector object must have exactly the keys 'dim' and 'entries'")
     dim, entries = obj["dim"], obj["entries"]
@@ -268,8 +263,5 @@ def _vector_from_json_dict(obj: dict, interned: dict[tuple, RadExt]) -> QVector:
             raise ValueError(
                 f"coordinate {i} must be a list of triples, got {type(triples).__name__}"
             )
-        # keyed on the triples only after from_triples has validated them as
-        # exact ints, so JSON true never aliases 1
-        e = RadExt.from_triples(triples)
-        pairs.append((i, interned.setdefault(tuple(map(tuple, triples)), e)))
+        pairs.append((i, RadExt.from_triples(triples)))
     return QVector._raw(dim, tuple(pairs))

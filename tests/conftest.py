@@ -21,8 +21,10 @@ def claims_by_id(claims_results):
 @pytest.fixture
 def count_work(monkeypatch):
     """run(f, *args) calls f(*args) and returns how often that called
-    RadExt.sign, RadExt.__neg__, RadExt.__mul__ and qls_core.inner_product,
-    as {"sign", "neg", "mul", "inner_product": count}, zeros left out."""
+    RadExt.sign, RadExt.__neg__, RadExt.__mul__, RadExt.__eq__ and
+    qls_core.inner_product, as {"sign", "neg", "mul", "eq", "inner_product":
+    count}, zeros left out. A dict or set finds an equal RadExt by identity,
+    so "eq" counts only the comparisons that ran Python code."""
     counts = Counter()
 
     def counting(name, f):
@@ -36,6 +38,7 @@ def count_work(monkeypatch):
         ("sign", RadExt, "sign"),
         ("neg", RadExt, "__neg__"),
         ("mul", RadExt, "__mul__"),
+        ("eq", RadExt, "__eq__"),
         ("inner_product", qls_core, "inner_product"),
     ):
         monkeypatch.setattr(owner, attr, counting(name, getattr(owner, attr)))

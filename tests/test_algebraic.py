@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlatin import algebraic
 from qlatin.algebraic import (
     ONE,
     ZERO,
@@ -87,10 +90,58 @@ class TestRadExtBasics:
             sqrt_rational(-1)
 
     def test_mixed_type_equality(self):
-        assert RadExt.from_rational(F(3, 5)) == F(3, 5)
+        assert RadExt.from_rational(F(3, 5)) == F(3, 5) == RadExt({1: F(3, 5)})
+        assert F(3, 5) == RadExt.from_rational(F(3, 5)) and (ONE == "1") is False
         assert RadExt.from_rational(2) == 2
         assert sqrt_rational(2) != 1
         assert hash(RadExt.from_rational(7)) == hash(RadExt({1: 7}))
+
+
+class TestOneObjectPerValue:
+    """RadExt is hash-consed: each value is one live object, however made."""
+
+    def test_equal_values_are_one_object_by_every_route(self):
+        r2, third = sqrt_rational(2), F(1, 3)
+        routes = [
+            (r2 * r2, RadExt.from_rational(2)),
+            (r2 * third * 3, r2),
+            (r2 + r2, RadExt({8: 1})),
+            (ONE - ONE, ZERO),
+            (r2 - 1, -(1 - r2)),
+            (-(-r2), r2),
+            (RadExt.from_triples([[1, 2, 2]]), sqrt_rational(F(1, 2))),
+            (RadExt.from_triples(RadExt({7: third, 1: -2}).to_triples()), RadExt({1: -2, 7: third})),
+            (RadExt.from_rational(F(2, 4)), RadExt({1: F(1, 2)})),
+            (sqrt_rational(F(9, 4)), RadExt.from_rational(F(3, 2))),
+            (RadExt({1: 1}), ONE),
+            (RadExt(), ZERO),
+            (RadExt({5: 0}), ZERO),
+            (sqrt_rational(0), ZERO),
+        ]
+        for p, q in routes:
+            assert p is q, (p, q)
+            assert p == q and hash(p) == hash(q)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_the_shared_object(self, clone):
+        x = RadExt({2: F(1, 3), 1: -2})
+        for v in (x, ZERO, ONE):
+            assert clone(v) is v
+        assert clone([x])[0] is x
+        # copying a value must not write its fields into a shared one
+        assert (ZERO.den, ZERO.num, ONE.den, ONE.num) == (1, {}, 1, {1: 1})
+        assert (x.den, x.num) == (3, {1: -6, 2: 1})
+
+    def test_table_shrinks_when_values_die(self):
+        before = len(algebraic._LIVE)
+        temporaries = [RadExt({3: F(k, 999_999_937)}) for k in range(1, 10_001)]
+        assert len(algebraic._LIVE) >= before + 10_000
+        del temporaries
+        assert len(algebraic._LIVE) <= before
 
 
 class TestSign:
@@ -270,7 +321,7 @@ class TestAgainstFractionReference:
             (a * b, ref.mul(ta, tb)),
         ):
             _assert_reduced(got)
-            assert got.terms == want
+            assert got.terms == want and got is RadExt(want)
             assert got.sign() == ref.sign(want)
 
     @given(_ref_terms, _ref_terms)
@@ -286,7 +337,7 @@ class TestAgainstFractionReference:
         assert a.to_triples() == ref.to_triples(ta)
         parsed = RadExt.from_triples(ref.to_triples(ta))
         _assert_reduced(parsed)
-        assert parsed == a and hash(parsed) == hash(a)
+        assert parsed is a
         assert parsed.terms == ta
 
     @given(_ref_terms, _ref_terms, _ref_terms)
@@ -299,8 +350,11 @@ class TestAgainstFractionReference:
             (x * (y + z), x * y + x * z),
             (x * y, RadExt.from_triples(ref.to_triples(ref.mul(tx, ty)))),
             (x + y - y, RadExt.from_triples(ref.to_triples(tx))),
+            (-(x - y), y - x),
+            (x * y, RadExt(ref.mul(tx, ty))),
         ]
         for p, q in routes:
             _assert_reduced(p)
             _assert_reduced(q)
-            assert p == q and hash(p) == hash(q)
+            # one object per value, so equal hashes follow from identity
+            assert p is q and hash(p) == hash(q)

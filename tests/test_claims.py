@@ -189,7 +189,7 @@ CLAIM_WORK_CEILINGS = {
     "blocks/rotation-orthonormality": {"mul": 158, "inner_product": 57},
     "matrices/y-orthonormal": {"neg": 400, "inner_product": 780},
     "matrices/y-column-bases": {"neg": 400, "inner_product": 860},
-    "product/w-matches-row-matrix-display": {"mul": 1620, "neg": 1360, "sign": 800, "inner_product": 270},
+    "product/w-matches-row-matrix-display": {"mul": 1240, "neg": 1360, "sign": 800, "inner_product": 270},
 }
 
 

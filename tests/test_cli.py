@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qlatin
 from qlatin import algebraic, claims, cli, qls_core
 from qlatin.cli import main
-from qlatin.generators import realize_generator
+from qlatin.generators import PARAM_MAX_SIZE, parse_generator_id, realize_generator
 from qlatin.qls_core import grid_from_json, grid_to_json
 from qlatin.synthesis import MAX_M, execute_plan, plan_for
 
@@ -238,6 +238,24 @@ class TestVerifyFailures:
             assert code == 2 and out == "" and err.count("\n") == 1, (gid, err)
             assert err.startswith("error: cannot factor") and len(err) < 200, (gid, err)
 
+    @pytest.mark.parametrize(
+        "param,size",
+        [("1e5000", 5006), ("7" * 5000, 5000), ("-2.5E-99999999999", 100000000016)],
+        ids=["exponent", "digits", "huge-exponent"],
+    )
+    def test_long_generator_parameter_exits_2_naming_its_size(self, capsys, param, size):
+        # refused before the value is built, whatever str() or int() allow
+        code, out, err = run_cli(capsys, "gen", f"W(1,{param})")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: generator parameter of size {size} (characters plus exponent) "
+            f"exceeds the bound {PARAM_MAX_SIZE}\n"
+        )
+
+    def test_parameter_at_the_size_bound_is_named_in_full(self):
+        gid = parse_generator_id(f"A(1e{PARAM_MAX_SIZE - 6})")
+        assert gid.canonical() == "A(1" + "0" * (PARAM_MAX_SIZE - 6) + ")"
+
 
 def _reference_rejects(text: str) -> bool:
     try:
@@ -392,6 +410,29 @@ def loaded_by(*argv):
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestSameBytesInEveryProcess:
+    """Values hash by address, which differs from process to process; what a
+    command prints must not."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("synth", "--m", "4", "--c", "200"), ("claims", "--format", "json", "--witness-bound", "2", "--m", "2")],
+        ids=["synth", "claims"],
+    )
+    def test_output_is_identical_across_processes(self, argv):
+        src = os.path.dirname(os.path.dirname(qlatin.__file__))
+        runs = []
+        for seed in ("0", "4242"):
+            done = subprocess.run(
+                [sys.executable, "-m", "qlatin.cli", *argv],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True, timeout=120,
+            )
+            runs.append((done.returncode, done.stdout, done.stderr))
+        assert runs[0][0] == 0 and runs[0][1], runs[0][2]
+        assert runs[0] == runs[1]
 
 
 class TestStartup:

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlatin import synthesis
+from qlatin.generators import realize_generator
 from qlatin.qls_core import cardinality, verify_qls
 from qlatin.synthesis import (
     S1_HIGH,
@@ -180,6 +182,19 @@ class TestExecution:
         plan, grid = synth(2, 24)
         assert plan.regime == "QLS8-low" and plan.witness == {"base": 16, "new_in_last_block": 8, "total": 24}
         assert grid.order == 8 and cardinality(grid).cardinality == 24
+
+    def test_each_generator_name_is_realized_once(self, monkeypatch):
+        plan = plan_for(8, 500)
+        names = [gid for diag in plan.diagonals for gid in diag]
+        calls = []
+
+        def counted(gid):
+            calls.append(gid)
+            return realize_generator(gid)
+
+        monkeypatch.setattr(synthesis, "realize_generator", counted)
+        execute_plan(plan)
+        assert len(names) == 64 and calls == list(dict.fromkeys(names))
 
     def test_provenance_mentions_the_target(self):
         _, grid = synth(2, 30)
