@@ -71,15 +71,16 @@ from .synthesis import (
     S1_HIGH,
     S1_LOW,
     ImpossibleCardinalityError,
+    SynthPlan,
     _QLS8_OFFSETS,
     _QLS8_ROWS,
     _check_m,
     _qls8_low_plan,
     execute_plan,
     plan_for,
-    plan_qls4m,
     plan_qls8,
     reachable_sums,
+    set_bits,
     synth,
     valid_cardinalities,
 )
@@ -558,22 +559,28 @@ def _claim_qls8_full_range(cfg: ClaimConfig):
     return True, f"all {built} targets in [8,64] minus 9 verified and counted"
 
 
+# the paper's order-12 square of cardinality 105, one diagonal per prefix
+_C105_DIAGONALS = (
+    ("W0", "Wk(1)", "W(5,6)"),
+    ("W0", "W0", "W(5,6)"),
+    ("H(0)", "H(6)", "W(5,6)"),
+)
+
+
 def _claim_qls12_c105(cfg: ClaimConfig):
-    plan = plan_qls4m(3, 105)
-    if plan.regime != "QLS12-c105":
-        return False, f"unexpected regime {plan.regime}"
-    execute_plan(plan)
+    # execute_plan raises unless the square verifies and counts to 105
+    execute_plan(SynthPlan(3, 105, "QLS12-c105", _C105_DIAGONALS, {"total": 105}))
     return True, "the fixed 3x3 block square counts to 105 = 47 + 32 + 26"
 
 
 def _claim_low_sum_range(cfg: ClaimConfig):
     for m in DP_M:
         reach = reachable_sums(S1_LOW, m)
-        window = frozenset(range(0, 16 * m - 7)) - {1, 16 * m - 15}
-        if reach & frozenset(range(0, 16 * m - 7)) != window:
+        window = (1 << (16 * m - 7)) - 1  # bits 0..16m-8
+        if reach & window != window ^ (1 << 1) ^ (1 << (16 * m - 15)):
             return False, f"m={m}: in-window set differs from the stated one"
-        if reach - frozenset(range(0, 16 * m - 7)) != {16 * m}:
-            return False, f"m={m}: values beyond the window are {sorted(reach - set(range(16 * m - 7)))}"
+        if reach & ~window != 1 << (16 * m):
+            return False, f"m={m}: values beyond the window are {sorted(set_bits(reach & ~window))}"
     return True, (
         f"m in {list(DP_M)}: within [0,16m-8] the reachable sums are exactly "
         "the window minus {1, 16m-15}; the all-maximal choice adds the single "
@@ -584,9 +591,9 @@ def _claim_low_sum_range(cfg: ClaimConfig):
 def _claim_high_sum_range(cfg: ClaimConfig):
     for m in DP_M:
         reach = reachable_sums(S1_HIGH, m)
-        want = frozenset(range(0, 16 * m + 1)) - {1, 3, 5, 7, 9, 11, 13}
+        want = ((1 << (16 * m + 1)) - 1) ^ sum(1 << s for s in (1, 3, 5, 7, 9, 11, 13))
         if reach != want:
-            return False, f"m={m}: symmetric difference {sorted(reach ^ want)}"
+            return False, f"m={m}: symmetric difference {sorted(set_bits(reach ^ want))}"
     return True, f"m in {list(DP_M)}: reachable sums equal [0,16m] minus the seven small odds"
 
 
@@ -596,7 +603,7 @@ def _claim_coverage_union(cfg: ClaimConfig):
         rng = valid_cardinalities(m)  # raises if the union misses the target set
         if m == 3:
             in_low = 105 in rng.low_reachable
-            off25 = 25 in reachable_sums(S1_HIGH, 3)
+            off25 = reachable_sums(S1_HIGH, 3) >> 25 & 1
             notes.append(
                 f"m=3: 105 ({'also' if in_low else 'not'} low-reachable by the sums), "
                 f"high offset 25 {'reachable (2+8+15)' if off25 else 'unreachable'}"

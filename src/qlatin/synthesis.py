@@ -11,8 +11,8 @@ against the sums the later diagonals can still reach.
 
 Two counting regimes cover [4m, 16m^2] minus 4m+1 (which no square of
 order 4m can hit): a "low" regime anchored at the basis-like blocks and a
-"high" regime anchored at maximal-cardinality blocks, plus fixed special
-squares for (m=2, c=57) and (m=3, c=105).
+"high" regime anchored at maximal-cardinality blocks. Order 8 adds one
+fixed special square, for c = 57. Reachable sums are int bit masks.
 """
 
 from __future__ import annotations
@@ -64,15 +64,23 @@ def impossibility_message(m: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def reachable_sums(values: tuple[int, ...], count: int) -> frozenset[int]:
-    """All sums of `count` nonnegative values drawn from `values` with
-    repetition; bit s of the mask is set when s is reachable."""
-    mask = 1
-    for _ in range(count):
-        prev, mask = mask, 0
-        for v in values:
-            mask |= prev << v
-    return frozenset(s for s in range(mask.bit_length()) if mask >> s & 1)
+def reachable_sums(values: tuple[int, ...], count: int) -> int:
+    """Bit mask of the sums of `count` nonnegative values drawn from
+    `values` with repetition: bit s is set when s is reachable. Each count
+    extends the cached count - 1 mask, so counts 0..m take m * len(values)
+    shift-ORs; a cold call recurses `count` deep (at most MAX_M in a plan)."""
+    if count == 0:
+        return 1
+    prev = reachable_sums(values, count - 1)
+    mask = 0
+    for v in values:
+        mask |= prev << v
+    return mask
+
+
+def set_bits(mask: int, offset: int = 0) -> frozenset[int]:
+    """The set {offset + s : bit s of mask is set}."""
+    return frozenset(offset + s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 class _Choices(NamedTuple):
@@ -98,7 +106,7 @@ def _pick_per_diagonal(choices: _Choices, m: int, rem: int) -> list:
     for left in range(m - 1, -1, -1):
         suffix = reachable_sums(values, left)
         for v, option in pairs:
-            if rem - v in suffix:
+            if rem >= v and suffix >> (rem - v) & 1:
                 break
         else:  # only on the first diagonal: each pick keeps rem reachable
             raise RuntimeError(f"no choice over {m} diagonals sums to {rem}")
@@ -172,13 +180,7 @@ class SynthPlan(NamedTuple):
     witness: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "target_c": self.target_c,
-            "regime": self.regime,
-            "diagonals": [list(d) for d in self.diagonals],
-            "witness": self.witness,
-        }
+        return {**self._asdict(), "diagonals": [list(d) for d in self.diagonals]}
 
 
 # QLS(8) layouts: (base count, top-left, top-right, bottom-left); the
@@ -251,13 +253,6 @@ def plan_qls8(c: int) -> SynthPlan:
     )
 
 
-_C105_DIAGONALS = (
-    ("W0", "Wk(1)", "W(5,6)"),
-    ("W0", "W0", "W(5,6)"),
-    ("H(0)", "H(6)", "W(5,6)"),
-)
-
-
 def _low_slot_names(x0: int, x1: int, bits: tuple[int, ...]) -> tuple[str, ...]:
     slot0 = f"H({x0})"
     if x1 == 0:
@@ -272,12 +267,7 @@ def _low_slot_names(x0: int, x1: int, bits: tuple[int, ...]) -> tuple[str, ...]:
 
 def _plan_low(m: int, c: int) -> SynthPlan:
     xs = _pick_per_diagonal(_low_choices(m), m, c - 4 * m)
-    total = (
-        4 * m
-        + 4 * sum(x[0] for x in xs)
-        + sum(x[1] for x in xs)
-        + 16 * sum(sum(x[2]) for x in xs)
-    )
+    total = 4 * m + sum(4 * x0 + x1 + 16 * sum(bits) for x0, x1, bits in xs)
     if total != c:
         raise RuntimeError(f"witness sum {total} does not match target {c}")
     return SynthPlan(
@@ -319,15 +309,9 @@ def _plan_high(m: int, c: int) -> SynthPlan:
 def plan_qls4m(m: int, c: int) -> SynthPlan:
     _check_m(m, 3)
     _check_range(m, c)
-    if (m, c) == (3, 105):
-        return SynthPlan(
-            m=3,
-            target_c=105,
-            regime="QLS12-c105",
-            diagonals=_C105_DIAGONALS,
-            witness={"diagonal_totals": [47, 32, 26], "total": 105},
-        )
-    if c <= 16 * m * m - 8 * m - 8 and c - 4 * m in reachable_sums(_low_choices(m).values, m):
+    if c <= 16 * m * m - 8 * m - 8 and (
+        reachable_sums(_low_choices(m).values, m) >> (c - 4 * m) & 1
+    ):
         return _plan_low(m, c)
     return _plan_high(m, c)
 
@@ -341,6 +325,9 @@ def execute_plan(plan: SynthPlan) -> QLSGrid:
     """Assemble the grid a plan describes, then re-verify and re-count it."""
     m = plan.m
     order = 4 * m
+    shape = [len(diag) for diag in plan.diagonals]
+    if shape != [m] * m:
+        raise ValueError(f"a plan for m={m} needs {m} diagonals of {m} names, got lengths {shape}")
     # each distinct name is parsed and realized once, in slot order, so a
     # bad name is reported at its first slot
     blocks = {}
@@ -397,7 +384,7 @@ class CardinalityRange(NamedTuple):
 def valid_cardinalities(m: int) -> CardinalityRange:
     _check_m(m, 2)
     lo, hi = 4 * m, 16 * m * m
-    high = frozenset(16 * m * (m - 1) + s for s in reachable_sums(S1_HIGH, m))
+    high = set_bits(reachable_sums(S1_HIGH, m), 16 * m * (m - 1))
     if m == 2:
         low = frozenset(
             base + off for base, _, _, _ in _QLS8_ROWS for off in _QLS8_OFFSETS
@@ -405,8 +392,8 @@ def valid_cardinalities(m: int) -> CardinalityRange:
         high &= frozenset(range(49, 65))
         specials = frozenset({57})
     else:
-        low = frozenset(lo + s for s in reachable_sums(_low_choices(m).values, m))
-        specials = frozenset({105}) if m == 3 else frozenset()
+        low = set_bits(reachable_sums(_low_choices(m).values, m), lo)
+        specials = frozenset()
     expected = frozenset(range(lo, hi + 1)) - {lo + 1}
     if (low | high | specials) != expected:
         raise RuntimeError(

@@ -35,15 +35,16 @@ from qlatin.synthesis import (
     ImpossibleCardinalityError,
     plan_for,
     reachable_sums,
+    set_bits,
     synth,
     valid_cardinalities,
 )
 from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, vec_neg, vec_scale
 
-SWEEP_M = (2, 3, 4, 5, 6)
+SWEEP_M = (2, 3, 4, 5, 6, 7)
 # criterion 8 recounts every swept grid up to this order with the oracle;
 # it may rise over time, never fall
-ORACLE_MAX_ORDER = 24
+ORACLE_MAX_ORDER = 28
 
 # every named block the library can emit, for the oracle and n+1 checks
 GENERATOR_IDS = (
@@ -79,7 +80,7 @@ def _require(claims_by_id, *ids):
 
 def test_criterion_01_full_sweep_exact_cardinalities(sweep_records):
     per_m = Counter(r[0] for r in sweep_records)
-    assert per_m == {2: 56, 3: 132, 4: 240, 5: 380, 6: 552}
+    assert per_m == {2: 56, 3: 132, 4: 240, 5: 380, 6: 552, 7: 756}
     bad = [(m, c) for m, c, _, ok, counted, _ in sweep_records if not ok or counted != c]
     assert not bad, f"failed targets: {bad[:5]}"
     print(
@@ -349,11 +350,11 @@ def test_verification_matches_full_pair_reference():
 
 def test_criterion_09_reachable_sum_sets():
     for m in range(3, 9):
-        low = reachable_sums(S1_LOW, m)
+        low = set_bits(reachable_sums(S1_LOW, m))
         window = frozenset(range(0, 16 * m - 7))
         assert low & window == window - {1, 16 * m - 15}, f"m={m} low window"
         assert low - window == {16 * m}, f"m={m} low above window"
-        high = reachable_sums(S1_HIGH, m)
+        high = set_bits(reachable_sums(S1_HIGH, m))
         assert high == frozenset(range(0, 16 * m + 1)) - {1, 3, 5, 7, 9, 11, 13}, f"m={m} high"
     print(
         "PASS criterion 9: for m in [3,8], low-regime sums within [0,16m-8] are "

@@ -1,4 +1,6 @@
 import itertools
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from qlatin.qls_core import cardinality, verify_qls
 from qlatin.synthesis import (
     S1_HIGH,
     S1_LOW,
+    MAX_M,
     CardinalityRangeError,
     ImpossibleCardinalityError,
     SynthPlan,
@@ -22,6 +25,7 @@ from qlatin.synthesis import (
     plan_qls4m,
     plan_qls8,
     reachable_sums,
+    set_bits,
     synth,
     valid_cardinalities,
 )
@@ -29,21 +33,30 @@ from qlatin.synthesis import (
 
 class TestReachableSums:
     def test_against_brute_force(self):
-        # independent enumeration for small multiplicities
-        for values, count in ((S1_LOW, 3), (S1_HIGH, 3), (S1_LOW, 2)):
+        # independent enumeration for small multiplicities: bit s is set
+        # exactly when s is a sum, and no bit lies above the largest sum
+        for values, count in ((S1_LOW, 3), (S1_HIGH, 3), (S1_LOW, 2), (S1_HIGH, 0)):
             brute = {sum(t) for t in itertools.product(values, repeat=count)}
-            assert reachable_sums(values, count) == brute
+            mask = reachable_sums(values, count)
+            assert mask.bit_length() == max(brute) + 1
+            for s in range(max(brute) + 1):
+                assert mask >> s & 1 == (s in brute), (values, count, s)
+
+    def test_set_bits(self):
+        assert set_bits(0) == frozenset()
+        assert set_bits(0b1011) == {0, 1, 3}
+        assert set_bits(0b1011, 5) == {5, 6, 8}
 
     def test_low_set_shape(self):
         for m in (3, 4, 5):
-            low = reachable_sums(S1_LOW, m)
+            low = set_bits(reachable_sums(S1_LOW, m))
             window = frozenset(range(0, 16 * m - 7))
             assert low & window == window - {1, 16 * m - 15}
             assert low - window == {16 * m}
 
     def test_high_set_shape(self):
         for m in (3, 4, 5):
-            assert reachable_sums(S1_HIGH, m) == frozenset(range(0, 16 * m + 1)) - {
+            assert set_bits(reachable_sums(S1_HIGH, m)) == frozenset(range(0, 16 * m + 1)) - {
                 1, 3, 5, 7, 9, 11, 13,
             }
 
@@ -107,8 +120,31 @@ class TestPlanning:
         assert high.witness["total"] == 49
 
     def test_special_square_regimes(self):
-        assert plan_qls4m(3, 105).regime == "QLS12-c105"
+        # only order 8 has a special square; the paper's order-12 target
+        # 105 is met by the low regime
+        plan = plan_qls4m(3, 105)
+        assert plan.regime == "low"
+        assert plan.diagonals == (
+            ("H(0)", "H(5)", "W(7,8)"),
+            ("H(1)", "W(5,6)", "W(7,8)"),
+            ("H(1)", "W(5,6)", "W(7,8)"),
+        )
         assert plan_for(2, 57).regime == "QLS8-c57"
+
+    def test_cold_planning_memory_at_max_m(self):
+        # a cold plan at the largest m, low and high regime, holds masks
+        # only: no per-count set of sums
+        high_slot1_binding()
+        reachable_sums.cache_clear()
+        synthesis._low_choices.cache_clear()
+        tracemalloc.start()
+        try:
+            assert plan_for(MAX_M, 4096).regime == "low"
+            assert plan_for(MAX_M, 16300).regime == "high"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak} bytes"
 
     def test_regime_boundary(self):
         # low tops out at 16m^2 - 8m - 8; everything above is high
@@ -169,6 +205,18 @@ class TestErrors:
         with pytest.raises(ValueError):
             execute_plan(plan)
 
+    @pytest.mark.parametrize(
+        "diagonals,lengths",
+        [((("H(0)",) * 3,) * 2, "[3, 3]"), ((("H(0)",) * 4,) * 3, "[4, 4, 4]")],
+    )
+    def test_execute_rejects_a_malformed_plan(self, monkeypatch, diagonals, lengths):
+        # refused before any block is realized
+        monkeypatch.setattr(synthesis, "realize_generator", lambda gid: pytest.fail(gid))
+        plan = SynthPlan(3, 12, "x", diagonals, {})
+        want = rf"3 diagonals of 3 names, got lengths {re.escape(lengths)}"
+        with pytest.raises(ValueError, match=want):
+            execute_plan(plan)
+
 
 class TestExecution:
     @pytest.mark.parametrize("m,c", [(2, 8), (2, 33), (2, 57), (3, 12), (3, 105), (3, 144)])
@@ -213,5 +261,6 @@ class TestRanges:
 
     def test_specials(self):
         assert valid_cardinalities(2).specials == frozenset({57})
-        assert valid_cardinalities(3).specials == frozenset({105})
+        assert valid_cardinalities(3).specials == frozenset()
+        assert 105 in valid_cardinalities(3).low_reachable
         assert valid_cardinalities(4).specials == frozenset()
