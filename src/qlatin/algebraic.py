@@ -32,6 +32,11 @@ Scalar = Union[int, Fraction]
 #: one answer.  A radicand that needs more is a ValueError (the CLI exits 2).
 TRIAL_DIVISION_BOUND = 1_000_000
 
+#: Largest radicand, in bits, that squarefree_decompose will factor; a larger
+#: one is a ValueError before any division, which bounds the cost of each
+#: division of the trial loop.  Fixed, so one input has one answer.
+RADICAND_MAX_BITS = 1024
+
 _SIGN_START_BITS = 64
 
 
@@ -63,9 +68,16 @@ def _decompose(n: int) -> tuple[int, int]:
 
 
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Split n > 0 as s*s*d with d squarefree; returns (s, d)."""
+    """Split n > 0 as s*s*d with d squarefree; returns (s, d). A radicand
+    over RADICAND_MAX_BITS bits, or one that needs a trial divisor over
+    TRIAL_DIVISION_BOUND, is a ValueError."""
     if n <= 0:
         raise ValueError(f"radicand must be positive, got {n}")
+    if n.bit_length() > RADICAND_MAX_BITS:
+        raise ValueError(
+            f"cannot factor a {n.bit_length()}-bit radicand: "
+            f"exceeds the cap of {RADICAND_MAX_BITS} bits"
+        )
     return _decompose(n)
 
 

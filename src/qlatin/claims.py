@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 from .algebraic import sqrt_rational
@@ -44,16 +44,13 @@ from .generators import (
     J_MATRICES,
     X_MATRICES,
     columns_as_vectors,
-    make_H,
-    make_Hprime,
     make_V,
     make_W,
-    make_W0,
-    make_Wk,
     make_alpha_basis,
     make_block,
     mat_is_orthonormal,
     product_construct,
+    realize_generator,
     wk_row_matrices,
     y_matrices,
 )
@@ -135,6 +132,13 @@ class ClaimResult:
 def _witness_values(bound: int) -> tuple[Fraction, ...]:
     vals = {F(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
     return tuple(sorted(vals))
+
+
+def _named(tag: str, *params) -> QLSGrid:
+    """The generator block tag(params) through realize_generator, so every
+    claim and the synthesis sweep that name it share one grid, verified and
+    counted once."""
+    return realize_generator(f"{tag}({','.join(map(str, params))})" if params else tag)
 
 
 def _classes(*grids: QLSGrid) -> frozenset[QVector]:
@@ -235,13 +239,13 @@ def _adds_own_index(make, indices, base, detail):
 
 def _claim_h_new_counts(cfg: ClaimConfig):
     return _adds_own_index(
-        make_H, range(2, 9), _classes(make_H(0), make_H(1)),
+        partial(_named, "H"), range(2, 9), _classes(_named("H", 0), _named("H", 1)),
         "H(2).. H(8) add exactly 2..8 elements beyond H(0) and H(1)",
     )
 
 
 def _claim_h5_split(cfg: ClaimConfig):
-    h0 = distinct_elements(make_H(0))
+    h0 = distinct_elements(_named("H", 0))
     got = (
         len(_block_set("C", F(0)) - h0),
         len(_block_set("C", F(1)) - h0),
@@ -254,7 +258,7 @@ def _claim_h5_split(cfg: ClaimConfig):
 
 def _claim_hprime_new_counts(cfg: ClaimConfig):
     return _adds_own_index(
-        make_Hprime, (2, 4, 6, 8), distinct_elements(make_W0()),
+        partial(_named, "Hprime"), (2, 4, 6, 8), distinct_elements(_named("W0")),
         "Hprime(2,4,6,8) add exactly 2, 4, 6, 8 elements beyond W0",
     )
 
@@ -325,7 +329,7 @@ def _claim_product_multiplicative(cfg: ClaimConfig):
 
 def _claim_w_family_qls(cfg: ClaimConfig):
     for k in range(1, W_PAIRWISE_BOUND + 1):
-        g = make_W(2 * k - 1, 2 * k)
+        g = _named("W", 2 * k - 1, 2 * k)
         if not verify_qls(g).ok:
             return False, f"W({2 * k - 1},{2 * k}) failed verification"
         if cardinality(g).cardinality != 16:
@@ -335,7 +339,7 @@ def _claim_w_family_qls(cfg: ClaimConfig):
 
 def _claim_w_family_distinct(cfg: ClaimConfig):
     sets = {
-        k: distinct_elements(make_W(2 * k - 1, 2 * k))
+        k: distinct_elements(_named("W", 2 * k - 1, 2 * k))
         for k in range(1, W_PAIRWISE_BOUND + 1)
     }
     for k in sets:
@@ -346,8 +350,8 @@ def _claim_w_family_distinct(cfg: ClaimConfig):
 
 
 def _claim_w56_w78_vs_h(cfg: ClaimConfig):
-    h_union = _classes(*map(make_H, range(9)))
-    w = _classes(make_W(5, 6), make_W(7, 8))
+    h_union = _classes(*(_named("H", ell) for ell in range(9)))
+    w = _classes(_named("W", 5, 6), _named("W", 7, 8))
     if len(w) != 32:
         return False, f"the two tail squares share elements ({len(w)} distinct)"
     if w & h_union:
@@ -356,7 +360,7 @@ def _claim_w56_w78_vs_h(cfg: ClaimConfig):
 
 
 def _claim_w0_cross_check(cfg: ClaimConfig):
-    w0 = make_W0()
+    w0 = _named("W0")
     prod = product_construct(make_V(0, F(4, 3)), make_V(0, F(12, 5)), "W0 via product")
     s1, s2 = distinct_elements(w0), distinct_elements(prod)
     if s1 != s2:
@@ -489,19 +493,19 @@ def _claim_displayed_products(cfg: ClaimConfig):
 
 # (claim id, left block, right block, the cells they share, pass detail)
 _MEETS = (
-    ("wk/w0-meet-w1", make_W0, partial(make_Wk, 1), (ket("11"),),
+    ("wk/w0-meet-w1", partial(_named, "W0"), partial(_named, "Wk", 1), (ket("11"),),
      "W0 and W1 share exactly one element, |11>"),
-    ("wk/w0-meet-w2", make_W0, partial(make_Wk, 2), (
+    ("wk/w0-meet-w2", partial(_named, "W0"), partial(_named, "Wk", 2), (
         ket("10"),
         ket("11"),
         QVector([0, 0, F(-12, 13), F(5, 13)]),
         QVector([0, 0, F(5, 13), F(12, 13)]),
     ), "W0 and W2 share exactly the four listed elements"),
-    ("wk/w0-meet-w3", make_W0, partial(make_Wk, 3), (ket("11"), QVector([F(5, 13), F(12, 13), 0, 0])),
+    ("wk/w0-meet-w3", partial(_named, "W0"), partial(_named, "Wk", 3), (ket("11"), QVector([F(5, 13), F(12, 13), 0, 0])),
      "W0 and W3 share exactly |11> and (5/13)|00>+(12/13)|01>"),
     # the top-plane pair is read off the displayed products: column 4 of
     # the first W2 row matrix and column 3 of the first W4 row matrix
-    ("wk/w2-meet-w4", partial(make_Wk, 2), partial(make_Wk, 4), (
+    ("wk/w2-meet-w4", partial(_named, "Wk", 2), partial(_named, "Wk", 4), (
         ket("10"),
         ket("11"),
         QVector([F(63, 65), F(16, 65), 0, 0]),
@@ -523,7 +527,7 @@ def _claim_meet(left, right, cells, detail, cfg: ClaimConfig):
 
 
 def _claim_w56_vs_w0(cfg: ClaimConfig):
-    n = count_new_elements(make_W(5, 6), distinct_elements(make_W0()))
+    n = count_new_elements(_named("W", 5, 6), distinct_elements(_named("W0")))
     if n != 16:
         return False, f"only {n} of 16 elements are new"
     return True, "all 16 elements of W(5,6) lie outside W0"
@@ -538,15 +542,20 @@ def _claim_qls8_layout_table(cfg: ClaimConfig):
 
 def _claim_qls8_c57(cfg: ClaimConfig):
     execute_plan(plan_qls8(57))
-    split = (len(_classes(make_W0(), make_Wk(1))), len(_classes(make_Wk(2), make_Wk(4))))
+    split = (
+        len(_classes(_named("W0"), _named("Wk", 1))),
+        len(_classes(_named("Wk", 2), _named("Wk", 4))),
+    )
     if split != (31, 26):
         return False, f"per-prefix counts {split}, expected (31, 26)"
     return True, "the fixed square counts to 57 = 31 + 26"
 
 
+@lru_cache(maxsize=None)
 def _synth_every_target(m: int) -> int:
     """Synthesize, verify and count a grid at every attainable cardinality
-    of order 4m; the number built."""
+    of order 4m; the number built. Cached, and cleared at the start of each
+    run_all_claims, so one run sweeps each m once however many claims ask."""
     rng = valid_cardinalities(m)
     for c in range(rng.lo, rng.hi + 1):
         if c != rng.excluded:
@@ -615,10 +624,14 @@ def _claim_coverage_union(cfg: ClaimConfig):
 
 
 def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
-    low_base = _classes(*map(make_H, range(9)))
-    high_base = _classes(make_W0(), *map(make_Wk, range(1, 5)), *map(make_Hprime, (2, 4, 6, 8)))
+    low_base = _classes(*(_named("H", ell) for ell in range(9)))
+    high_base = _classes(
+        _named("W0"),
+        *(_named("Wk", k) for k in range(1, 5)),
+        *(_named("Hprime", ell) for ell in (2, 4, 6, 8)),
+    )
     for m in DISJOINT_M:
-        union = _classes(*(make_W(2 * i + 3, 2 * i + 4) for i in range(1, m)))
+        union = _classes(*(_named("W", 2 * i + 3, 2 * i + 4) for i in range(1, m)))
         if len(union) != 16 * (m - 1):
             return False, f"m={m}: tail squares overlap ({len(union)} distinct)"
         if union & low_base:
@@ -687,6 +700,7 @@ CLAIMS: tuple[Claim, ...] = (
 
 def run_all_claims(config: ClaimConfig | None = None) -> list[ClaimResult]:
     cfg = config if config is not None else ClaimConfig()
+    _synth_every_target.cache_clear()
     results = []
     for claim_id, kind, func in sorted(CLAIMS, key=lambda c: c[0]):
         try:

@@ -27,7 +27,9 @@ coordinates, not its n^3 coordinates, and its bytes are those of
 - the reader walks the writer's exact layout one cell at a time: it matches
   the fixed skeleton and each cell head literally, checks each run of zeros
   with `str.count`, and decodes and validates each distinct coordinate text
-  once (`JSONDecoder.raw_decode`, then `RadExt.from_triples`);
+  once (`JSONDecoder.raw_decode`, then `RadExt.from_triples`) and each
+  distinct cell text once, so equal cells share one vector, as in a
+  synthesized grid;
 - any other layout, and any error, falls back to `json.loads` and
   `grid_from_json_dict`, the reference that decides what is accepted and
   what every error says; it rejects an object that repeats a key, since
@@ -36,9 +38,13 @@ coordinates, not its n^3 coordinates, and its bytes are those of
 Only the fallback pauses the cyclic garbage collector (restoring its
 previous state): the lists and dicts `json.loads` builds hold no cycles, so
 reference counting frees them, and the collector's passes over millions of
-young containers would cost more than the parse. Equal coefficients are one
-object however they were built or read (`RadExt` is hash-consed), so the
-inner-product memo and the per-call tables find them by address and
+young containers would cost more than the parse. Every path reads a cell as
+its `support` and `coefs` tuples: the holder index walks `support`, the
+writer zips the two, both readers fill them directly, and the oracle's
+bucket key is `support` with the squared `coefs`. A unit check is an
+equal-support memo lookup on `(v.coefs, v.coefs)`. Equal coefficients are
+one object however they were built or read (`RadExt` is hash-consed), so
+the inner-product memo and the per-call tables find them by address and
 identity, and a cell is a unit vector when its square norm `is ONE`; the
 streamed reader's text-keyed cache only saves decoding a coordinate text
 twice.
@@ -160,7 +166,7 @@ def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationR
         # positions holding each coordinate, ascending
         holders: dict[int, list[int]] = {}
         for p, v in enumerate(cells):
-            for i, _ in v.entries:
+            for i in v.support:
                 holders.setdefault(i, []).append(p)
         # each pair that shares a coordinate, once; equal holder lists (all of
         # them in a dense line) give equal pairs, so each is expanded once
@@ -243,7 +249,8 @@ def cardinality_oracle(g: QLSGrid) -> int:
     buckets: dict[tuple, list[QVector]] = {}
     for row in g.cells:
         for v in row:
-            firsts = buckets.setdefault(tuple((i, squares[e]) for i, e in v.entries), [])
+            key = (v.support, tuple([squares[e] for e in v.coefs]))
+            firsts = buckets.setdefault(key, [])
             if not any(squares[inner_product(v, w)] is ONE for w in firsts):
                 firsts.append(v)
     return sum(len(firsts) for firsts in buckets.values())
@@ -326,7 +333,7 @@ def _cell_json(v: QVector, texts: dict[RadExt, str]) -> str:
     """One cell's compact JSON; `texts` caches each coefficient's triples."""
     parts = ['{"dim":%d,"entries":[' % v.dim]
     start = 0
-    for i, e in v.entries:
+    for i, e in zip(v.support, v.coefs):
         t = texts.get(e)
         if t is None:
             t = texts[e] = json.dumps(e.to_triples(), separators=(",", ":"))
@@ -355,11 +362,11 @@ def _is_zero_run(text: str, start: int, stop: int) -> bool:
 
 def _canonical_cell(
     text: str, pos: int, end: int, n: int, coeffs: dict[str, RadExt]
-) -> tuple | None:
-    """The (index, coefficient) pairs of the n coordinates text[pos:end], or
-    None when they are not in the writer's layout. A coordinate text is
-    decoded and validated on its first appearance, then looked up."""
-    pairs = []
+) -> QVector | None:
+    """The cell of the n coordinates text[pos:end], or None when they are
+    not in the writer's layout. A coordinate text is decoded and validated
+    on its first appearance, then looked up."""
+    support, coefs = [], []
     i = 0
     while True:
         nz = text.find("[[", pos, end)
@@ -383,14 +390,15 @@ def _canonical_cell(
             if got != stop:
                 return None
             e = coeffs[key] = RadExt.from_triples(triples)
-        pairs.append((i, e))
+        support.append(i)
+        coefs.append(e)
         i += 1
         if stop == end:
             break
         if text[stop] != ",":
             return None
         pos = stop + 1
-    return tuple(pairs) if i == n else None
+    return QVector._raw(n, tuple(support), tuple(coefs)) if i == n else None
 
 
 def _grid_from_canonical(text: str) -> QLSGrid | None:
@@ -412,6 +420,8 @@ def _grid_from_canonical(text: str) -> QLSGrid | None:
     # what precedes each cell: the first row's "[", a new row's "],[", or ","
     first, new_row, next_cell = "[" + head, "],[" + head, "," + head
     coeffs: dict[str, RadExt] = {}
+    # each distinct cell text is read once, and equal cells share one vector
+    seen: dict[str, QVector] = {}
     rows = []
     for r in range(n):
         row = []
@@ -421,10 +431,15 @@ def _grid_from_canonical(text: str) -> QLSGrid | None:
                 return None
             pos += len(lead)
             end = text.find("]}", pos)
-            pairs = None if end < 0 else _canonical_cell(text, pos, end, n, coeffs)
-            if pairs is None:
+            if end < 0:
                 return None
-            row.append(QVector._raw(n, pairs))
+            body = text[pos:end]
+            v = seen.get(body)
+            if v is None:
+                v = seen[body] = _canonical_cell(text, pos, end, n, coeffs)
+                if v is None:
+                    return None
+            row.append(v)
             pos = end + 2
         rows.append(row)
     if not text.startswith("]]}", pos) or text[pos + 3:].strip(" \t\n\r"):

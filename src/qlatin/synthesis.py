@@ -63,19 +63,24 @@ def impossibility_message(m: int) -> str:
     )
 
 
+# the masks of counts 0, 1, 2, ... for each value tuple, extended in place
+_MASKS: dict[tuple[int, ...], list[int]] = {}
+
+
 @lru_cache(maxsize=None)
 def reachable_sums(values: tuple[int, ...], count: int) -> int:
     """Bit mask of the sums of `count` nonnegative values drawn from
-    `values` with repetition: bit s is set when s is reachable. Each count
-    extends the cached count - 1 mask, so counts 0..m take m * len(values)
-    shift-ORs; a cold call recurses `count` deep (at most MAX_M in a plan)."""
-    if count == 0:
-        return 1
-    prev = reachable_sums(values, count - 1)
-    mask = 0
-    for v in values:
-        mask |= prev << v
-    return mask
+    `values` with repetition: bit s is set when s is reachable. A cold call
+    extends the highest count already filled for `values`, one count at a
+    time in a loop, so counts 0..m take m * len(values) shift-ORs in all and
+    no count recurses."""
+    masks = _MASKS.setdefault(values, [1])
+    while len(masks) <= count:
+        prev, mask = masks[-1], 0
+        for v in values:
+            mask |= prev << v
+        masks.append(mask)
+    return masks[count]
 
 
 def set_bits(mask: int, offset: int = 0) -> frozenset[int]:
@@ -339,13 +344,16 @@ def execute_plan(plan: SynthPlan) -> QLSGrid:
     cells = [[None] * order for _ in range(order)]
     for j, diag in enumerate(plan.diagonals):
         prefix = basis_vector(m, j)
+        # each distinct block is shifted once per diagonal, so a block that
+        # repeats on the diagonal shares its cell objects
+        shifted = {
+            gid: [[tensor(prefix, v) for v in row] for row in blocks[gid]]
+            for gid in dict.fromkeys(diag)
+        }
         for i, gid in enumerate(diag):
             bj = (i + j) % m
-            for k in range(4):
-                row = cells[i * 4 + k]
-                bcells = blocks[gid][k]
-                for l in range(4):
-                    row[bj * 4 + l] = tensor(prefix, bcells[l])
+            for k, row in enumerate(shifted[gid]):
+                cells[i * 4 + k][bj * 4 : bj * 4 + 4] = row
     grid = QLSGrid(
         cells, provenance=f"synth(m={m},c={plan.target_c},{plan.regime})"
     )

@@ -1,19 +1,26 @@
 """State vectors with exact radical coordinates, up to a global sign.
 
-A vector is stored sparsely: its dimension plus the ascending (index,
-coefficient) pairs of its nonzero coordinates. Synthesized cells are
-|j> tensor (an order-4 block's vector), so a cell of order 4m has at most 4
-nonzero coordinates; inner products merge two supports, and a tensor with a
-basis vector is an index shift.
+A vector is stored sparsely as its dimension and two tuples: `support`, the
+ascending indices of its nonzero coordinates, and `coefs`, their
+coefficients in the same order; `entries` pairs them up for readers that
+want (index, coefficient) pairs. Synthesized cells are |j> tensor (an
+order-4 block's vector), so a cell of order 4m has at most 4 nonzero
+coordinates, and a tensor with a basis vector is an index shift that keeps
+the block cell's `coefs` tuple: every shift of a block cell shares one
+coefficient tuple object.
 
 A grid holds few distinct coefficients (about 200 at order 64), so
-`inner_product` memoizes its exact sum in `_PRODUCT_MEMO`, keyed on the
-coefficient pairs at the shared indices; the memo holds at most
-`PRODUCT_MEMO_MAX` (1024) entries and is cleared when full. A miss adds the
-integer numerator products over the lcm of the pairs' denominators and reduces
-the sum once. Equal coefficients are one object, however they were made
-(`RadExt` is hash-consed), so a memo lookup hashes addresses and compares
-identities, with no Python-level call, across every grid in the process.
+`inner_product` memoizes its exact sum in `_PRODUCT_MEMO`, keyed on the two
+tuples of coefficients at the shared indices. When the supports are equal
+(most products in a synthesized grid, and every unit check) the key is
+`(u.coefs, v.coefs)` with no merge; otherwise the supports are merged into
+two tuples of matched coefficients, the same key form. The memo holds at
+most `PRODUCT_MEMO_MAX` (1024) entries and is cleared when full. A miss adds
+the integer numerator products over the lcm of the pairs' denominators and
+reduces the sum once. Equal coefficients are one object, however they were
+made (`RadExt` is hash-consed), so a memo lookup hashes addresses and
+compares identities, with no Python-level call, across every grid in the
+process.
 
 Vectors are real here: phase equivalence collapses to equality up to -1, and
 the canonical representative of a phase class is the vector whose first
@@ -39,51 +46,63 @@ def _as_radext(x: Coefficient) -> RadExt:
 
 class QVector(object):
     """Immutable sparse vector over the radical extension ring; hashable once
-    built. `entries` holds the (index, coefficient) pairs of the nonzero
-    coordinates, indices ascending."""
+    built. `support` holds the ascending indices of the nonzero coordinates
+    and `coefs` their coefficients, position by position."""
 
-    __slots__ = ("dim", "entries", "_hash")
+    __slots__ = ("dim", "support", "coefs", "_hash")
 
     def __init__(self, coords: Iterable[Coefficient]):
         """Build from the dense list of all `dim` coordinates."""
-        pairs = []
+        support, coefs = [], []
         dim = 0
         for x in coords:
             e = _as_radext(x)
             if e.num:
-                pairs.append((dim, e))
+                support.append(dim)
+                coefs.append(e)
             dim += 1
         if not dim:
             raise ValueError("a vector needs at least one coordinate")
         self.dim = dim
-        self.entries = tuple(pairs)
+        self.support = tuple(support)
+        self.coefs = tuple(coefs)
         self._hash = None
 
     @classmethod
-    def _raw(cls, dim: int, pairs: tuple[tuple[int, RadExt], ...]) -> "QVector":
-        # internal fast path: pairs already ascending, in range, and nonzero
+    def _raw(cls, dim: int, support: tuple[int, ...], coefs: tuple[RadExt, ...]) -> "QVector":
+        # internal fast path: support ascending and in range, coefs nonzero
         self = object.__new__(cls)
         self.dim = dim
-        self.entries = pairs
+        self.support = support
+        self.coefs = coefs
         self._hash = None
         return self
+
+    @property
+    def entries(self) -> tuple[tuple[int, RadExt], ...]:
+        """The (index, coefficient) pairs of the nonzero coordinates."""
+        return tuple(zip(self.support, self.coefs))
 
     def dense(self) -> tuple[RadExt, ...]:
         """All `dim` coordinates, zeros included."""
         out = [ZERO] * self.dim
-        for i, e in self.entries:
+        for i, e in zip(self.support, self.coefs):
             out[i] = e
         return tuple(out)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QVector):
             return NotImplemented
-        return self.dim == other.dim and self.entries == other.entries
+        return (
+            self.dim == other.dim
+            and self.support == other.support
+            and self.coefs == other.coefs
+        )
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.dim, self.entries))
+            h = hash((self.dim, self.support, self.coefs))
             self._hash = h
         return h
 
@@ -95,7 +114,7 @@ def basis_vector(dim: int, k: int) -> QVector:
     """|k> in dimension dim."""
     if not 0 <= k < dim:
         raise ValueError(f"basis index {k} out of range for dimension {dim}")
-    return QVector._raw(dim, ((k, ONE),))
+    return QVector._raw(dim, (k,), (ONE,))
 
 
 def ket(bits: str) -> QVector:
@@ -108,37 +127,43 @@ def ket(bits: str) -> QVector:
 #: Entry cap of the inner-product memo; it is cleared when full, so memory
 #: stays bounded whatever the input.
 PRODUCT_MEMO_MAX = 1024
-_PRODUCT_MEMO: dict[tuple[RadExt, ...], RadExt] = {}
+_PRODUCT_MEMO: dict[tuple[tuple[RadExt, ...], tuple[RadExt, ...]], RadExt] = {}
 
 
 def inner_product(u: QVector, v: QVector) -> RadExt:
     """Real inner product over the common support; disjoint supports cost no
-    arithmetic, and a repeated set of coefficient pairs is a memo lookup."""
+    arithmetic, equal supports no merge, and a repeated pair of coefficient
+    tuples is a memo lookup."""
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    a, b = u.entries, v.entries
-    if not a or not b or a[-1][0] < b[0][0] or b[-1][0] < a[0][0]:
-        return ZERO
-    # the coefficients at shared indices, flattened as ea, eb, ea, eb, ...
-    key: list[RadExt] = []
-    i, j, na, nb = 0, 0, len(a), len(b)
-    while i < na and j < nb:
-        ia, ea = a[i]
-        ib, eb = b[j]
-        if ia == ib:
-            key += (ea, eb)
-            i += 1
-            j += 1
-        elif ia < ib:
-            i += 1
-        else:
-            j += 1
-    if not key:
-        return ZERO
-    key = tuple(key)
+    a, b = u.support, v.support
+    if a == b:
+        key = (u.coefs, v.coefs)
+    else:
+        if not a or not b or a[-1] < b[0] or b[-1] < a[0]:
+            return ZERO
+        # the coefficients at shared indices, matched position by position
+        ka: list[RadExt] = []
+        kb: list[RadExt] = []
+        ca, cb = u.coefs, v.coefs
+        i, j, na, nb = 0, 0, len(a), len(b)
+        while i < na and j < nb:
+            ia, ib = a[i], b[j]
+            if ia == ib:
+                ka.append(ca[i])
+                kb.append(cb[j])
+                i += 1
+                j += 1
+            elif ia < ib:
+                i += 1
+            else:
+                j += 1
+        if not ka:
+            return ZERO
+        key = (tuple(ka), tuple(kb))
     got = _PRODUCT_MEMO.get(key)
     if got is None:
-        pairs = list(zip(key[::2], key[1::2]))
+        pairs = list(zip(*key))
         den = math.lcm(*(x.den * y.den for x, y in pairs))
         acc: dict[int, int] = {}
         for x, y in pairs:
@@ -153,36 +178,37 @@ def inner_product(u: QVector, v: QVector) -> RadExt:
 def tensor(u: QVector, v: QVector) -> QVector:
     """Tensor product with u-major coordinate order: entry p*dim(v)+q is u_p*v_q."""
     dv = v.dim
-    # a basis prefix |j> multiplies by ONE: reuse v's coefficients, so a
-    # synthesized cell shares them with its block instead of copying
+    if len(u.coefs) == 1 and u.coefs[0] is ONE:
+        # a basis prefix |j>: shift v's support and keep its coefs tuple, so
+        # every shift of a block cell shares one coefficient tuple
+        off = u.support[0] * dv
+        return QVector._raw(u.dim * dv, tuple([off + q for q in v.support]), v.coefs)
     return QVector._raw(
         u.dim * dv,
-        tuple(
-            (p * dv + q, ve if ue is ONE else ue * ve)
-            for p, ue in u.entries
-            for q, ve in v.entries
-        ),
+        tuple([p * dv + q for p in u.support for q in v.support]),
+        tuple([ve if ue is ONE else ue * ve for ue in u.coefs for ve in v.coefs]),
     )
 
 
 def vec_add(u: QVector, v: QVector) -> QVector:
     if u.dim != v.dim:
         raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    acc = dict(u.entries)
-    for i, e in v.entries:
+    acc = dict(zip(u.support, u.coefs))
+    for i, e in zip(v.support, v.coefs):
         acc[i] = acc[i] + e if i in acc else e
-    return QVector._raw(u.dim, tuple((i, e) for i, e in sorted(acc.items()) if e.num))
+    support = tuple(sorted(i for i, e in acc.items() if e.num))
+    return QVector._raw(u.dim, support, tuple([acc[i] for i in support]))
 
 
 def vec_scale(v: QVector, s: Coefficient) -> QVector:
     s = _as_radext(s)
     if not s.num:
-        return QVector._raw(v.dim, ())
-    return QVector._raw(v.dim, tuple((i, s * e) for i, e in v.entries))
+        return QVector._raw(v.dim, (), ())
+    return QVector._raw(v.dim, v.support, tuple([s * e for e in v.coefs]))
 
 
 def vec_neg(v: QVector) -> QVector:
-    return QVector._raw(v.dim, tuple((i, -e) for i, e in v.entries))
+    return QVector._raw(v.dim, v.support, tuple([-e for e in v.coefs]))
 
 
 def _canonical(
@@ -190,8 +216,8 @@ def _canonical(
 ) -> QVector:
     """v with its first nonzero coordinate made positive, given how to take
     a coefficient's sign and its negation."""
-    if v.entries and sign(v.entries[0][1]) < 0:
-        return QVector._raw(v.dim, tuple((i, neg(e)) for i, e in v.entries))
+    if v.coefs and sign(v.coefs[0]) < 0:
+        return QVector._raw(v.dim, v.support, tuple(map(neg, v.coefs)))
     return v
 
 
@@ -241,7 +267,7 @@ def format_vector(v: QVector, labels: tuple[str, ...] | None = None) -> str:
 def vector_to_json_dict(v: QVector) -> dict:
     """The dense JSON form: one triple list per coordinate, [] for a zero."""
     entries: list[list] = [[] for _ in range(v.dim)]
-    for i, e in v.entries:
+    for i, e in zip(v.support, v.coefs):
         entries[i] = e.to_triples()
     return {"dim": v.dim, "entries": entries}
 
@@ -255,7 +281,7 @@ def vector_from_json_dict(obj: dict) -> QVector:
         raise ValueError(f"bad vector dimension: {dim!r}")
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError("vector entry count must equal its dimension")
-    pairs = []
+    support, coefs = [], []
     # a zero coordinate is written one way only: the empty list, skipped here;
     # anything else, falsy or not, is checked in index order below
     for i, triples in [(i, t) for i, t in enumerate(entries) if t or type(t) is not list]:
@@ -263,5 +289,6 @@ def vector_from_json_dict(obj: dict) -> QVector:
             raise ValueError(
                 f"coordinate {i} must be a list of triples, got {type(triples).__name__}"
             )
-        pairs.append((i, RadExt.from_triples(triples)))
-    return QVector._raw(dim, tuple(pairs))
+        support.append(i)
+        coefs.append(RadExt.from_triples(triples))
+    return QVector._raw(dim, tuple(support), tuple(coefs))

@@ -219,7 +219,7 @@ _UNITS = _unit_pool()
 
 def _copy(v):
     """v with every coefficient an equal but distinct object."""
-    return QVector._raw(v.dim, tuple((i, RadExt.from_triples(e.to_triples())) for i, e in v.entries))
+    return QVector._raw(v.dim, v.support, tuple(RadExt.from_triples(e.to_triples()) for e in v.coefs))
 
 
 @given(st.lists(st.tuples(st.integers(0, len(_UNITS) - 1), st.integers(0, 2)), min_size=16, max_size=16))

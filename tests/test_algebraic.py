@@ -44,6 +44,13 @@ class TestSquarefreeDecompose:
         with pytest.raises(ValueError, match="trial division bound"):
             squarefree_decompose(1000003**2)
 
+    def test_radicand_over_the_bit_cap_is_refused_before_dividing(self):
+        cap = algebraic.RADICAND_MAX_BITS
+        # a power of two at the cap factors by halving alone
+        assert squarefree_decompose(1 << (cap - 1)) == (1 << (cap // 2 - 1), 2)
+        with pytest.raises(ValueError, match=f"cannot factor a {cap + 1}-bit radicand: exceeds the cap of {cap} bits"):
+            squarefree_decompose(1 << cap)
+
     def test_large_prime_within_bound(self):
         # cofactor > bound is fine once all divisors up to sqrt are excluded
         assert squarefree_decompose(999983) == (1, 999983)

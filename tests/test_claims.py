@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qlatin import claims, generators, qls_core
+from qlatin import claims, generators, qls_core, synthesis
 from qlatin.algebraic import sqrt_rational
 from qlatin.claims import (
     CLAIMS,
@@ -16,6 +17,7 @@ from qlatin.claims import (
     run_all_claims,
 )
 from qlatin.generators import mat, y_matrices
+from qlatin.synthesis import execute_plan
 
 _SEPARATIONS = {"separations/c-vs-a-and-b", "separations/d-vs-a-and-b", "separations/within-family"}
 
@@ -196,7 +198,24 @@ CLAIM_WORK_CEILINGS = {
 @pytest.mark.parametrize("claim_id", sorted(CLAIM_WORK_CEILINGS))
 def test_claim_work_stays_under_its_ceiling(claim_id, count_work):
     generators.make_block.cache_clear()
+    generators._REALIZE_CACHE.clear()
     used = count_work(_claim(claim_id), ClaimConfig())
     ceiling = CLAIM_WORK_CEILINGS[claim_id]
     over = {name: (n, ceiling.get(name, 0)) for name, n in used.items() if n > ceiling.get(name, 0)}
     assert not over, f"(work, ceiling) above the ceiling: {over}"
+
+
+def test_one_run_sweeps_each_order_once(monkeypatch):
+    # qls8/full-range and synthesis/full-sweep share one sweep of m = 2, and
+    # the next run sweeps again
+    executed = []
+
+    def counted(plan):
+        executed.append((plan.m, plan.target_c, plan.diagonals))
+        return execute_plan(plan)
+
+    monkeypatch.setattr(synthesis, "execute_plan", counted)
+    for runs in (1, 2):
+        assert all(r.status == "pass" for r in run_all_claims(ClaimConfig(witness_bound=1)))
+        per_plan = Counter(p for p in executed if p[0] == 2)
+        assert len(per_plan) == 56 and set(per_plan.values()) == {runs}

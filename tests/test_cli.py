@@ -231,12 +231,23 @@ class TestVerifyFailures:
         TestFuzzedGridFiles._check(text)
 
     def test_unfactorable_radicand_exits_2_with_a_short_line(self, capsys, monkeypatch):
-        # a lower trial-division bound fails the same way in milliseconds
+        # a lower trial-division bound fails the same way in milliseconds;
+        # A(1e20)'s radicand is under the bit cap, so it reaches that bound
         monkeypatch.setattr(algebraic, "TRIAL_DIVISION_BOUND", 100)
-        for gid in ("A(1e2000)", "A(1e4000)"):
+        for gid in ("A(1e20)", "A(1e2000)", "A(1e4000)"):
             code, out, err = run_cli(capsys, "gen", gid)
             assert code == 2 and out == "" and err.count("\n") == 1, (gid, err)
             assert err.startswith("error: cannot factor") and len(err) < 200, (gid, err)
+
+    def test_radicand_over_the_bit_cap_exits_2_naming_the_cap(self, capsys):
+        # A(1e4000) needs sqrt(1/(1 + 10^8000)): a 26576-bit radicand,
+        # refused by size before any trial division
+        code, out, err = run_cli(capsys, "gen", "A(1e4000)")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: cannot factor a 26576-bit radicand: "
+            f"exceeds the cap of {algebraic.RADICAND_MAX_BITS} bits\n"
+        )
 
     @pytest.mark.parametrize(
         "param,size",

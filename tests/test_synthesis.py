@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qlatin import synthesis
 from qlatin.generators import realize_generator
 from qlatin.qls_core import cardinality, verify_qls
+from qlatin.vectors import tensor
 from qlatin.synthesis import (
     S1_HIGH,
     S1_LOW,
@@ -41,6 +42,13 @@ class TestReachableSums:
             assert mask.bit_length() == max(brute) + 1
             for s in range(max(brute) + 1):
                 assert mask >> s & 1 == (s in brute), (values, count, s)
+
+    def test_large_count_fills_in_a_loop(self):
+        # a cold count far above any plan's fills counts without recursing
+        reachable_sums.cache_clear()
+        synthesis._MASKS.clear()
+        assert reachable_sums((0, 1), 3000) == (1 << 3001) - 1
+        assert reachable_sums((0, 2, 3), 3000) == ((1 << 9001) - 1) ^ 2
 
     def test_set_bits(self):
         assert set_bits(0) == frozenset()
@@ -136,6 +144,7 @@ class TestPlanning:
         # only: no per-count set of sums
         high_slot1_binding()
         reachable_sums.cache_clear()
+        synthesis._MASKS.clear()
         synthesis._low_choices.cache_clear()
         tracemalloc.start()
         try:
@@ -243,6 +252,23 @@ class TestExecution:
         monkeypatch.setattr(synthesis, "realize_generator", counted)
         execute_plan(plan)
         assert len(names) == 64 and calls == list(dict.fromkeys(names))
+
+    @pytest.mark.parametrize("m,c", [(3, 60), (8, 500), (16, 2000)])
+    def test_each_block_is_shifted_once_per_diagonal(self, monkeypatch, m, c):
+        # 16 tensor calls per distinct (diagonal, block), not 16 per slot
+        plan = plan_for(m, c)
+        calls = []
+
+        def counted(u, v):
+            calls.append(u)
+            return tensor(u, v)
+
+        monkeypatch.setattr(synthesis, "tensor", counted)
+        grid = execute_plan(plan)
+        distinct = sum(len(set(diag)) for diag in plan.diagonals)
+        assert len(calls) == 16 * distinct < 16 * m * m
+        # a block repeated on a diagonal shares its cell objects
+        assert len({id(v) for row in grid.cells for v in row}) == 16 * distinct
 
     def test_provenance_mentions_the_target(self):
         _, grid = synth(2, 30)

@@ -184,7 +184,7 @@ class TestSparseLayout:
         u, w = _scaled(a), _scaled(b)
         t = tensor(u, w)
         dense = QVector([x * y for x in u.dense() for y in w.dense()])
-        raw = QVector._raw(t.dim, tuple(t.entries))
+        raw = QVector._raw(t.dim, tuple(i for i, _ in t.entries), tuple(e for _, e in t.entries))
         parsed = vector_from_json_dict(vector_to_json_dict(dense))
         for v in (dense, raw, parsed):
             assert v == t and hash(v) == hash(t)
@@ -280,3 +280,62 @@ class TestInnerProductReference:
         got = inner_product(QVector(map(RadExt, tu)), QVector(map(RadExt, tv)))
         assert got.terms == acc
         assert got.den >= 1 and math.gcd(got.den, *got.num.values()) == 1
+
+
+# coefficients of both signs, rational and over one or several radicands
+_MIXED = [
+    ONE,
+    -ONE,
+    RadExt.from_rational(F(-3, 5)),
+    sqrt_rational(F(2, 3)) + F(1, 5),
+    -sqrt_rational(F(1, 6)),
+    sqrt_rational(2) - sqrt_rational(F(3, 7)),
+    RadExt({2: F(1, 3), 3: F(-1, 2), 5: F(2, 7)}),
+]
+
+
+def _subset_of(pool):
+    return st.sets(st.sampled_from(sorted(pool))) if pool else st.just(set())
+
+
+@st.composite
+def _support_pair(draw):
+    """Two coordinate maps of one dimension whose supports are equal, one
+    nested in the other, disjoint, or unrelated; "same" shares one map."""
+    dim = draw(st.integers(1, 10))
+    a = draw(_subset_of(range(dim)))
+    how = draw(st.sampled_from(["same", "equal", "nested", "disjoint", "any"]))
+    b = {
+        "same": a,
+        "equal": a,
+        "nested": draw(_subset_of(a)),
+        "disjoint": draw(_subset_of(set(range(dim)) - a)),
+        "any": draw(_subset_of(range(dim))),
+    }[how]
+    coef = st.sampled_from(_MIXED)
+    u = {i: draw(coef) for i in sorted(a)}
+    v = u if how == "same" else {i: draw(coef) for i in sorted(b)}
+    if draw(st.booleans()):
+        u, v = v, u  # the larger support on either side
+    return dim, u, v
+
+
+class TestInnerProductDense:
+    @given(_support_pair())
+    @settings(deadline=None, max_examples=300)
+    def test_matches_a_dense_dot_product(self, case):
+        dim, cu, cv = case
+        u, v = (QVector([c.get(i, 0) for i in range(dim)]) for c in (cu, cv))
+        want = sum((x * y for x, y in zip(u.dense(), v.dense())), ZERO)
+        # one object per value, so the memoized sum is the reference itself
+        assert inner_product(u, v) is want
+        assert inner_product(v, u) is want
+
+    def test_shifted_cells_share_coefficients_and_products(self):
+        u = QVector([0, F(3, 5), F(-4, 5), 0])
+        v = QVector([0, F(4, 5), F(3, 5), 0])
+        su, sv = tensor(ket("10"), u), tensor(ket("10"), v)
+        assert su.coefs is u.coefs and sv.coefs is v.coefs
+        assert su.support == (9, 10) and su.entries == ((9, u.coefs[0]), (10, u.coefs[1]))
+        assert inner_product(su, sv) is inner_product(u, v) is ZERO
+        assert inner_product(su, su) is ONE
