@@ -32,9 +32,11 @@ Scalar = Union[int, Fraction]
 #: one answer.  A radicand that needs more is a ValueError (the CLI exits 2).
 TRIAL_DIVISION_BOUND = 1_000_000
 
-#: Largest radicand, in bits, that squarefree_decompose will factor; a larger
-#: one is a ValueError before any division, which bounds the cost of each
-#: division of the trial loop.  Fixed, so one input has one answer.
+#: Largest radicand, in bits, of any value: squarefree_decompose refuses a
+#: larger one before any division, which bounds the cost of each division of
+#: the trial loop, and RadExt refuses to build a value holding one (a product
+#: can make it from two smaller ones), so the grid reader accepts every value
+#: that exists.  Fixed, so one input has one answer.
 RADICAND_MAX_BITS = 1024
 
 _SIGN_START_BITS = 64
@@ -136,10 +138,16 @@ class RadExt(object):
     @classmethod
     def _raw(cls, den: int, num: dict[int, int]) -> "RadExt":
         """internal: the one live object for (den, num), which must already be
-        in lowest terms; every constructor ends here."""
+        in lowest terms; every constructor ends here, so a new value with a
+        radicand over RADICAND_MAX_BITS is a ValueError."""
         key = (den, *sorted(num.items()))
         self = _LIVE.get(key)
         if self is None:
+            bits = max(num, default=1).bit_length()
+            if bits > RADICAND_MAX_BITS:
+                raise ValueError(
+                    f"a {bits}-bit radicand exceeds the cap of {RADICAND_MAX_BITS} bits"
+                )
             self = object.__new__(cls)
             self.den = den
             self.num = num

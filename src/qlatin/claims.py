@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable
 
 from .algebraic import sqrt_rational
@@ -132,13 +132,6 @@ class ClaimResult:
 def _witness_values(bound: int) -> tuple[Fraction, ...]:
     vals = {F(p, q) for p in range(-bound, bound + 1) for q in range(1, bound + 1)}
     return tuple(sorted(vals))
-
-
-def _named(tag: str, *params) -> QLSGrid:
-    """The generator block tag(params) through realize_generator, so every
-    claim and the synthesis sweep that name it share one grid, verified and
-    counted once."""
-    return realize_generator(f"{tag}({','.join(map(str, params))})" if params else tag)
 
 
 def _classes(*grids: QLSGrid) -> frozenset[QVector]:
@@ -239,13 +232,14 @@ def _adds_own_index(make, indices, base, detail):
 
 def _claim_h_new_counts(cfg: ClaimConfig):
     return _adds_own_index(
-        partial(_named, "H"), range(2, 9), _classes(_named("H", 0), _named("H", 1)),
+        lambda ell: realize_generator(f"H({ell})"), range(2, 9),
+        _classes(realize_generator("H(0)"), realize_generator("H(1)")),
         "H(2).. H(8) add exactly 2..8 elements beyond H(0) and H(1)",
     )
 
 
 def _claim_h5_split(cfg: ClaimConfig):
-    h0 = distinct_elements(_named("H", 0))
+    h0 = distinct_elements(realize_generator("H(0)"))
     got = (
         len(_block_set("C", F(0)) - h0),
         len(_block_set("C", F(1)) - h0),
@@ -258,7 +252,8 @@ def _claim_h5_split(cfg: ClaimConfig):
 
 def _claim_hprime_new_counts(cfg: ClaimConfig):
     return _adds_own_index(
-        partial(_named, "Hprime"), (2, 4, 6, 8), distinct_elements(_named("W0")),
+        lambda ell: realize_generator(f"Hprime({ell})"), (2, 4, 6, 8),
+        distinct_elements(realize_generator("W0")),
         "Hprime(2,4,6,8) add exactly 2, 4, 6, 8 elements beyond W0",
     )
 
@@ -329,7 +324,7 @@ def _claim_product_multiplicative(cfg: ClaimConfig):
 
 def _claim_w_family_qls(cfg: ClaimConfig):
     for k in range(1, W_PAIRWISE_BOUND + 1):
-        g = _named("W", 2 * k - 1, 2 * k)
+        g = realize_generator(f"W({2 * k - 1},{2 * k})")
         if not verify_qls(g).ok:
             return False, f"W({2 * k - 1},{2 * k}) failed verification"
         if cardinality(g).cardinality != 16:
@@ -339,7 +334,7 @@ def _claim_w_family_qls(cfg: ClaimConfig):
 
 def _claim_w_family_distinct(cfg: ClaimConfig):
     sets = {
-        k: distinct_elements(_named("W", 2 * k - 1, 2 * k))
+        k: distinct_elements(realize_generator(f"W({2 * k - 1},{2 * k})"))
         for k in range(1, W_PAIRWISE_BOUND + 1)
     }
     for k in sets:
@@ -350,8 +345,8 @@ def _claim_w_family_distinct(cfg: ClaimConfig):
 
 
 def _claim_w56_w78_vs_h(cfg: ClaimConfig):
-    h_union = _classes(*(_named("H", ell) for ell in range(9)))
-    w = _classes(_named("W", 5, 6), _named("W", 7, 8))
+    h_union = _classes(*(realize_generator(f"H({ell})") for ell in range(9)))
+    w = _classes(realize_generator("W(5,6)"), realize_generator("W(7,8)"))
     if len(w) != 32:
         return False, f"the two tail squares share elements ({len(w)} distinct)"
     if w & h_union:
@@ -360,7 +355,7 @@ def _claim_w56_w78_vs_h(cfg: ClaimConfig):
 
 
 def _claim_w0_cross_check(cfg: ClaimConfig):
-    w0 = _named("W0")
+    w0 = realize_generator("W0")
     prod = product_construct(make_V(0, F(4, 3)), make_V(0, F(12, 5)), "W0 via product")
     s1, s2 = distinct_elements(w0), distinct_elements(prod)
     if s1 != s2:
@@ -491,21 +486,22 @@ def _claim_displayed_products(cfg: ClaimConfig):
     return True, "16 displayed product matrices match entry for entry (256 entries)"
 
 
-# (claim id, left block, right block, the cells they share, pass detail)
+# (claim id, left block, right block, the cells they share, pass detail),
+# each block named as realize_generator reads it
 _MEETS = (
-    ("wk/w0-meet-w1", partial(_named, "W0"), partial(_named, "Wk", 1), (ket("11"),),
+    ("wk/w0-meet-w1", "W0", "Wk(1)", (ket("11"),),
      "W0 and W1 share exactly one element, |11>"),
-    ("wk/w0-meet-w2", partial(_named, "W0"), partial(_named, "Wk", 2), (
+    ("wk/w0-meet-w2", "W0", "Wk(2)", (
         ket("10"),
         ket("11"),
         QVector([0, 0, F(-12, 13), F(5, 13)]),
         QVector([0, 0, F(5, 13), F(12, 13)]),
     ), "W0 and W2 share exactly the four listed elements"),
-    ("wk/w0-meet-w3", partial(_named, "W0"), partial(_named, "Wk", 3), (ket("11"), QVector([F(5, 13), F(12, 13), 0, 0])),
+    ("wk/w0-meet-w3", "W0", "Wk(3)", (ket("11"), QVector([F(5, 13), F(12, 13), 0, 0])),
      "W0 and W3 share exactly |11> and (5/13)|00>+(12/13)|01>"),
     # the top-plane pair is read off the displayed products: column 4 of
     # the first W2 row matrix and column 3 of the first W4 row matrix
-    ("wk/w2-meet-w4", partial(_named, "Wk", 2), partial(_named, "Wk", 4), (
+    ("wk/w2-meet-w4", "Wk(2)", "Wk(4)", (
         ket("10"),
         ket("11"),
         QVector([F(63, 65), F(16, 65), 0, 0]),
@@ -517,7 +513,7 @@ _MEETS = (
 
 
 def _claim_meet(left, right, cells, detail, cfg: ClaimConfig):
-    inter = distinct_elements(left()) & distinct_elements(right())
+    inter = distinct_elements(realize_generator(left)) & distinct_elements(realize_generator(right))
     if inter != canonical_set(cells):
         # a one-cell meet names its cell
         want = (f", expected exactly {format_vector(cells[0], ('00', '01', '10', '11'))}"
@@ -527,7 +523,7 @@ def _claim_meet(left, right, cells, detail, cfg: ClaimConfig):
 
 
 def _claim_w56_vs_w0(cfg: ClaimConfig):
-    n = count_new_elements(_named("W", 5, 6), distinct_elements(_named("W0")))
+    n = count_new_elements(realize_generator("W(5,6)"), distinct_elements(realize_generator("W0")))
     if n != 16:
         return False, f"only {n} of 16 elements are new"
     return True, "all 16 elements of W(5,6) lie outside W0"
@@ -543,23 +539,31 @@ def _claim_qls8_layout_table(cfg: ClaimConfig):
 def _claim_qls8_c57(cfg: ClaimConfig):
     execute_plan(plan_qls8(57))
     split = (
-        len(_classes(_named("W0"), _named("Wk", 1))),
-        len(_classes(_named("Wk", 2), _named("Wk", 4))),
+        len(_classes(realize_generator("W0"), realize_generator("Wk(1)"))),
+        len(_classes(realize_generator("Wk(2)"), realize_generator("Wk(4)"))),
     )
     if split != (31, 26):
         return False, f"per-prefix counts {split}, expected (31, 26)"
     return True, "the fixed square counts to 57 = 31 + 26"
 
 
-@lru_cache(maxsize=None)
+# the number each m's sweep built in the run_all_claims under way, so one
+# run sweeps each m once however many claims ask; None outside a run, where
+# every call sweeps
+_RUN_SWEEPS: dict[int, int] | None = None
+
+
 def _synth_every_target(m: int) -> int:
     """Synthesize, verify and count a grid at every attainable cardinality
-    of order 4m; the number built. Cached, and cleared at the start of each
-    run_all_claims, so one run sweeps each m once however many claims ask."""
+    of order 4m; the number built."""
+    if _RUN_SWEEPS is not None and m in _RUN_SWEEPS:
+        return _RUN_SWEEPS[m]
     rng = valid_cardinalities(m)
     for c in range(rng.lo, rng.hi + 1):
         if c != rng.excluded:
             synth(m, c)  # execute_plan re-verifies and re-counts
+    if _RUN_SWEEPS is not None:
+        _RUN_SWEEPS[m] = rng.hi - rng.lo
     return rng.hi - rng.lo
 
 
@@ -624,14 +628,14 @@ def _claim_coverage_union(cfg: ClaimConfig):
 
 
 def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
-    low_base = _classes(*(_named("H", ell) for ell in range(9)))
+    low_base = _classes(*(realize_generator(f"H({ell})") for ell in range(9)))
     high_base = _classes(
-        _named("W0"),
-        *(_named("Wk", k) for k in range(1, 5)),
-        *(_named("Hprime", ell) for ell in (2, 4, 6, 8)),
+        realize_generator("W0"),
+        *(realize_generator(f"Wk({k})") for k in range(1, 5)),
+        *(realize_generator(f"Hprime({ell})") for ell in (2, 4, 6, 8)),
     )
     for m in DISJOINT_M:
-        union = _classes(*(_named("W", 2 * i + 3, 2 * i + 4) for i in range(1, m)))
+        union = _classes(*(realize_generator(f"W({2 * i + 3},{2 * i + 4})") for i in range(1, m)))
         if len(union) != 16 * (m - 1):
             return False, f"m={m}: tail squares overlap ({len(union)} distinct)"
         if union & low_base:
@@ -699,17 +703,21 @@ CLAIMS: tuple[Claim, ...] = (
 
 
 def run_all_claims(config: ClaimConfig | None = None) -> list[ClaimResult]:
+    global _RUN_SWEEPS
     cfg = config if config is not None else ClaimConfig()
-    _synth_every_target.cache_clear()
     results = []
-    for claim_id, kind, func in sorted(CLAIMS, key=lambda c: c[0]):
-        try:
-            ok, detail = func(cfg)
-        except Exception as exc:  # a crashed claim is a failed claim
-            ok, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(
-            ClaimResult(claim_id=claim_id, status="pass" if ok else "fail", kind=kind, detail=detail)
-        )
+    _RUN_SWEEPS = {}
+    try:
+        for claim_id, kind, func in sorted(CLAIMS, key=lambda c: c[0]):
+            try:
+                ok, detail = func(cfg)
+            except Exception as exc:  # a crashed claim is a failed claim
+                ok, detail = False, f"{type(exc).__name__}: {exc}"
+            results.append(
+                ClaimResult(claim_id=claim_id, status="pass" if ok else "fail", kind=kind, detail=detail)
+            )
+    finally:
+        _RUN_SWEEPS = None
     return results
 
 

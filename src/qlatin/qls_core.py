@@ -27,9 +27,10 @@ coordinates, not its n^3 coordinates, and its bytes are those of
 - the reader walks the writer's exact layout one cell at a time: it matches
   the fixed skeleton and each cell head literally, checks each run of zeros
   with `str.count`, and decodes and validates each distinct coordinate text
-  once (`JSONDecoder.raw_decode`, then `RadExt.from_triples`) and each
-  distinct cell text once, so equal cells share one vector, as in a
-  synthesized grid;
+  once (`JSONDecoder.raw_decode`, then `RadExt.from_triples`), filling each
+  cell's `support` and `coefs` as it goes; it keeps no table of cell texts,
+  which would hold a copy of every distinct cell, about the file's size
+  when the cells are distinct;
 - any other layout, and any error, falls back to `json.loads` and
   `grid_from_json_dict`, the reference that decides what is accepted and
   what every error says; it rejects an object that repeats a key, since
@@ -367,6 +368,7 @@ def _canonical_cell(
     not in the writer's layout. A coordinate text is decoded and validated
     on its first appearance, then looked up."""
     support, coefs = [], []
+    add_index, add_coef = support.append, coefs.append
     i = 0
     while True:
         nz = text.find("[[", pos, end)
@@ -377,9 +379,10 @@ def _canonical_cell(
                 return None
             i += (tail - pos) // 3 + 1
             break
-        if not _is_zero_run(text, pos, nz):
-            return None
-        i += (nz - pos) // 3
+        if nz != pos:
+            if not _is_zero_run(text, pos, nz):
+                return None
+            i += (nz - pos) // 3
         stop = text.find("]]", nz, end) + 2
         if stop < 2:
             return None
@@ -390,8 +393,8 @@ def _canonical_cell(
             if got != stop:
                 return None
             e = coeffs[key] = RadExt.from_triples(triples)
-        support.append(i)
-        coefs.append(e)
+        add_index(i)
+        add_coef(e)
         i += 1
         if stop == end:
             break
@@ -420,8 +423,6 @@ def _grid_from_canonical(text: str) -> QLSGrid | None:
     # what precedes each cell: the first row's "[", a new row's "],[", or ","
     first, new_row, next_cell = "[" + head, "],[" + head, "," + head
     coeffs: dict[str, RadExt] = {}
-    # each distinct cell text is read once, and equal cells share one vector
-    seen: dict[str, QVector] = {}
     rows = []
     for r in range(n):
         row = []
@@ -433,12 +434,9 @@ def _grid_from_canonical(text: str) -> QLSGrid | None:
             end = text.find("]}", pos)
             if end < 0:
                 return None
-            body = text[pos:end]
-            v = seen.get(body)
+            v = _canonical_cell(text, pos, end, n, coeffs)
             if v is None:
-                v = seen[body] = _canonical_cell(text, pos, end, n, coeffs)
-                if v is None:
-                    return None
+                return None
             row.append(v)
             pos = end + 2
         rows.append(row)

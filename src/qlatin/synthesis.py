@@ -63,24 +63,39 @@ def impossibility_message(m: int) -> str:
     )
 
 
-# the masks of counts 0, 1, 2, ... for each value tuple, extended in place
-_MASKS: dict[tuple[int, ...], list[int]] = {}
+class _ReachableSums:
+    """The function `reachable_sums`, with its one store: for each value
+    tuple, the list of masks of counts 0, 1, 2, ..., extended in place.
+    Its length is the number of masks held, which a cache-size report
+    reads; `clear` empties it."""
+
+    def __init__(self) -> None:
+        self._masks: dict[tuple[int, ...], list[int]] = {}
+
+    def __call__(self, values: tuple[int, ...], count: int) -> int:
+        """Bit mask of the sums of `count` nonnegative values drawn from
+        `values` with repetition: bit s is set when s is reachable. A cold
+        call extends the highest count already filled for `values`, one
+        count at a time in a loop, so counts 0..m take m * len(values)
+        shift-ORs in all and no count recurses."""
+        masks = self._masks.get(values)
+        if masks is None:
+            masks = self._masks[values] = [1]
+        while len(masks) <= count:
+            prev, mask = masks[-1], 0
+            for v in values:
+                mask |= prev << v
+            masks.append(mask)
+        return masks[count]
+
+    def __len__(self) -> int:
+        return sum(map(len, self._masks.values()))
+
+    def clear(self) -> None:
+        self._masks.clear()
 
 
-@lru_cache(maxsize=None)
-def reachable_sums(values: tuple[int, ...], count: int) -> int:
-    """Bit mask of the sums of `count` nonnegative values drawn from
-    `values` with repetition: bit s is set when s is reachable. A cold call
-    extends the highest count already filled for `values`, one count at a
-    time in a loop, so counts 0..m take m * len(values) shift-ORs in all and
-    no count recurses."""
-    masks = _MASKS.setdefault(values, [1])
-    while len(masks) <= count:
-        prev, mask = masks[-1], 0
-        for v in values:
-            mask |= prev << v
-        masks.append(mask)
-    return masks[count]
+reachable_sums = _ReachableSums()
 
 
 def set_bits(mask: int, offset: int = 0) -> frozenset[int]:

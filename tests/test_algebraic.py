@@ -51,6 +51,24 @@ class TestSquarefreeDecompose:
         with pytest.raises(ValueError, match=f"cannot factor a {cap + 1}-bit radicand: exceeds the cap of {cap} bits"):
             squarefree_decompose(1 << cap)
 
+    def test_product_over_the_bit_cap_is_refused_when_built(self):
+        # two squarefree radicands under the cap whose product is over it:
+        # the product is refused as it is built, so no value exists that
+        # the grid reader would refuse
+        cap = algebraic.RADICAND_MAX_BITS
+        primes = [p for p in range(3, 2000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+        a = b = 1
+        for p in primes:
+            if a.bit_length() < cap // 2 + 8:
+                a *= p
+            elif b.bit_length() < cap // 2 + 8:
+                b *= p
+        assert a.bit_length() <= cap and b.bit_length() <= cap < (a * b).bit_length()
+        x, y = sqrt_rational(a), sqrt_rational(b)
+        assert RadExt.from_triples(x.to_triples()) is x
+        with pytest.raises(ValueError, match=f"-bit radicand exceeds the cap of {cap} bits"):
+            x * y
+
     def test_large_prime_within_bound(self):
         # cofactor > bound is fine once all divisors up to sqrt are excluded
         assert squarefree_decompose(999983) == (1, 999983)

@@ -206,8 +206,8 @@ def test_claim_work_stays_under_its_ceiling(claim_id, count_work):
 
 
 def test_one_run_sweeps_each_order_once(monkeypatch):
-    # qls8/full-range and synthesis/full-sweep share one sweep of m = 2, and
-    # the next run sweeps again
+    # qls8/full-range and synthesis/full-sweep share one sweep of m = 2, the
+    # next run sweeps again, and a claim called outside a run always sweeps
     executed = []
 
     def counted(plan):
@@ -217,5 +217,9 @@ def test_one_run_sweeps_each_order_once(monkeypatch):
     monkeypatch.setattr(synthesis, "execute_plan", counted)
     for runs in (1, 2):
         assert all(r.status == "pass" for r in run_all_claims(ClaimConfig(witness_bound=1)))
+        per_plan = Counter(p for p in executed if p[0] == 2)
+        assert len(per_plan) == 56 and set(per_plan.values()) == {runs}
+    for runs in (3, 4):
+        assert _claim("qls8/full-range")(ClaimConfig())[0]
         per_plan = Counter(p for p in executed if p[0] == 2)
         assert len(per_plan) == 56 and set(per_plan.values()) == {runs}

@@ -243,15 +243,6 @@ class TestSerialization:
         with pytest.raises(ValueError):
             grid_from_json('{"order": 2}')
 
-    def test_equal_cells_are_read_once(self):
-        # the streamed reader shares one vector per distinct cell text, as
-        # execute_plan shares one per distinct shifted block cell
-        g = synth(8, 500)[1]
-        parsed = grid_from_json(grid_to_json(g))
-        assert parsed == g
-        cells = [v for row in parsed.cells for v in row]
-        assert len({id(v) for v in cells}) == len(set(cells)) < len(cells)
-
     def test_equal_coefficients_are_interned(self):
         # one object per value: in the built grid, in each parse of it by
         # either reader, and across grids

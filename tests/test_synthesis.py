@@ -45,10 +45,11 @@ class TestReachableSums:
 
     def test_large_count_fills_in_a_loop(self):
         # a cold count far above any plan's fills counts without recursing
-        reachable_sums.cache_clear()
-        synthesis._MASKS.clear()
+        reachable_sums.clear()
         assert reachable_sums((0, 1), 3000) == (1 << 3001) - 1
         assert reachable_sums((0, 2, 3), 3000) == ((1 << 9001) - 1) ^ 2
+        # the one store holds counts 0..3000 of each tuple, and reports it
+        assert len(reachable_sums) == 2 * 3001
 
     def test_set_bits(self):
         assert set_bits(0) == frozenset()
@@ -143,8 +144,7 @@ class TestPlanning:
         # a cold plan at the largest m, low and high regime, holds masks
         # only: no per-count set of sums
         high_slot1_binding()
-        reachable_sums.cache_clear()
-        synthesis._MASKS.clear()
+        reachable_sums.clear()
         synthesis._low_choices.cache_clear()
         tracemalloc.start()
         try:
