@@ -29,7 +29,9 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 #: Largest trial divisor used by squarefree_decompose; fixed, so one input has
-#: one answer.  A radicand that needs more is a ValueError (the CLI exits 2).
+#: one answer.  A radicand that needs more is a ValueError (the CLI exits 2),
+#: and RadExt refuses to build a value holding one, so the grid reader reads
+#: back every value that exists.
 TRIAL_DIVISION_BOUND = 1_000_000
 
 #: Largest radicand, in bits, of any value: squarefree_decompose refuses a
@@ -138,16 +140,24 @@ class RadExt(object):
     @classmethod
     def _raw(cls, den: int, num: dict[int, int]) -> "RadExt":
         """internal: the one live object for (den, num), which must already be
-        in lowest terms; every constructor ends here, so a new value with a
-        radicand over RADICAND_MAX_BITS is a ValueError."""
+        in lowest terms; every constructor ends here, so a new value the grid
+        reader would refuse is a ValueError: one with a radicand over
+        RADICAND_MAX_BITS, or one that needs a trial divisor over
+        TRIAL_DIVISION_BOUND."""
         key = (den, *sorted(num.items()))
         self = _LIVE.get(key)
         if self is None:
-            bits = max(num, default=1).bit_length()
+            top = max(num, default=1)
+            bits = top.bit_length()
             if bits > RADICAND_MAX_BITS:
                 raise ValueError(
                     f"a {bits}-bit radicand exceeds the cap of {RADICAND_MAX_BITS} bits"
                 )
+            if top > TRIAL_DIVISION_BOUND**2:
+                # the reader's own factoring, which raises the reader's error;
+                # a radicand up to the bound squared needs no divisor above it
+                for d in num:
+                    _decompose(d)
             self = object.__new__(cls)
             self.den = den
             self.num = num

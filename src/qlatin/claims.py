@@ -80,6 +80,7 @@ from .synthesis import (
     set_bits,
     synth,
     valid_cardinalities,
+    w_block,
 )
 from .vectors import QVector, basis_vector, format_vector, ket, phase_equal
 
@@ -105,11 +106,12 @@ DISJOINT_M = (3, 4, 5)
 @dataclass(frozen=True)
 class ClaimConfig:
     """What the command line sets: `--witness-bound`, the bound of the
-    rational witness grid of the three `separations/*` claims, and `--m`,
-    the orders the synthesis sweep builds."""
+    rational witness grid of the three `separations/*` claims (default 4),
+    and `--m`, the orders the `synthesis/full-sweep` claim builds (default
+    m = 3 only, since `qls8/full-range` always sweeps m = 2)."""
 
     witness_bound: int = 4
-    sweep_m: tuple[int, ...] = (2, 3)
+    sweep_m: tuple[int, ...] = (3,)
 
     def __post_init__(self):
         # a bound below 1 leaves no witnesses, and a witness claim over none
@@ -547,23 +549,13 @@ def _claim_qls8_c57(cfg: ClaimConfig):
     return True, "the fixed square counts to 57 = 31 + 26"
 
 
-# the number each m's sweep built in the run_all_claims under way, so one
-# run sweeps each m once however many claims ask; None outside a run, where
-# every call sweeps
-_RUN_SWEEPS: dict[int, int] | None = None
-
-
 def _synth_every_target(m: int) -> int:
     """Synthesize, verify and count a grid at every attainable cardinality
     of order 4m; the number built."""
-    if _RUN_SWEEPS is not None and m in _RUN_SWEEPS:
-        return _RUN_SWEEPS[m]
     rng = valid_cardinalities(m)
     for c in range(rng.lo, rng.hi + 1):
         if c != rng.excluded:
             synth(m, c)  # execute_plan re-verifies and re-counts
-    if _RUN_SWEEPS is not None:
-        _RUN_SWEEPS[m] = rng.hi - rng.lo
     return rng.hi - rng.lo
 
 
@@ -635,7 +627,7 @@ def _claim_tail_blocks_disjoint(cfg: ClaimConfig):
         *(realize_generator(f"Hprime({ell})") for ell in (2, 4, 6, 8)),
     )
     for m in DISJOINT_M:
-        union = _classes(*(realize_generator(f"W({2 * i + 3},{2 * i + 4})") for i in range(1, m)))
+        union = _classes(*(realize_generator(w_block(i)) for i in range(1, m)))
         if len(union) != 16 * (m - 1):
             return False, f"m={m}: tail squares overlap ({len(union)} distinct)"
         if union & low_base:
@@ -703,21 +695,16 @@ CLAIMS: tuple[Claim, ...] = (
 
 
 def run_all_claims(config: ClaimConfig | None = None) -> list[ClaimResult]:
-    global _RUN_SWEEPS
     cfg = config if config is not None else ClaimConfig()
     results = []
-    _RUN_SWEEPS = {}
-    try:
-        for claim_id, kind, func in sorted(CLAIMS, key=lambda c: c[0]):
-            try:
-                ok, detail = func(cfg)
-            except Exception as exc:  # a crashed claim is a failed claim
-                ok, detail = False, f"{type(exc).__name__}: {exc}"
-            results.append(
-                ClaimResult(claim_id=claim_id, status="pass" if ok else "fail", kind=kind, detail=detail)
-            )
-    finally:
-        _RUN_SWEEPS = None
+    for claim_id, kind, func in sorted(CLAIMS, key=lambda c: c[0]):
+        try:
+            ok, detail = func(cfg)
+        except Exception as exc:  # a crashed claim is a failed claim
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(
+            ClaimResult(claim_id=claim_id, status="pass" if ok else "fail", kind=kind, detail=detail)
+        )
     return results
 
 

@@ -138,7 +138,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--witness-bound", type=int,
         help="witness grid bound of the three separations/* claims",
     )
-    p.add_argument("--m", type=int, action="append", help="sweep order parameter; repeatable")
+    p.add_argument(
+        "--m", type=int, action="append",
+        help="order parameter of the synthesis/full-sweep claim; repeatable "
+        "(default 3: the qls8/full-range claim always sweeps m = 2)",
+    )
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=_cmd_claims)
 

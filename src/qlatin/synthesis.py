@@ -13,6 +13,10 @@ Two counting regimes cover [4m, 16m^2] minus 4m+1 (which no square of
 order 4m can hit): a "low" regime anchored at the basis-like blocks and a
 "high" regime anchored at maximal-cardinality blocks. Order 8 adds one
 fixed special square, for c = 57. Reachable sums are int bit masks.
+
+Which block adds how many classes is data (`_low_slot_names`, `HIGH_SLOT1`,
+`w_block`), so planning realizes no block; `execute_plan` re-verifies and
+re-counts every grid it builds, and the claims prove each count.
 """
 
 from __future__ import annotations
@@ -21,18 +25,21 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .generators import realize_generator
-from .qls_core import (
-    QLSGrid,
-    cardinality,
-    count_new_elements,
-    distinct_elements,
-    verify_qls,
-)
+from .qls_core import QLSGrid, cardinality, verify_qls
 from .vectors import basis_vector, tensor
 
-# per-diagonal values of the second slot's new-element count in each regime
+# per-diagonal values of the second slot's new-element count in the low regime
 S1_LOW = (0, 2, 3, 4, 5, 6, 7, 8, 16)
-S1_HIGH = (0, 2, 4, 6, 8, 12, 14, 15, 16)
+
+#: The high regime's second-slot block for each count of element classes it
+#: adds beyond W0, in ascending order (proved by the claims
+#: `blocks/hprime-new-counts`, `wk/w0-meet-w*`, `wk/w56-outside-w0` and
+#: `qls8/c57-square`).
+HIGH_SLOT1 = {
+    0: "W0", 2: "Hprime(2)", 4: "Hprime(4)", 6: "Hprime(6)", 8: "Hprime(8)",
+    12: "Wk(2)", 14: "Wk(3)", 15: "Wk(1)", 16: "W(5,6)",
+}
+S1_HIGH = tuple(HIGH_SLOT1)
 
 #: Largest supported m (order 4 * MAX_M). Grid size, JSON size and verify
 #: time all grow polynomially in m, so one command line must not ask for more.
@@ -153,41 +160,6 @@ def _low_choices(m: int) -> _Choices:
 _HIGH_CHOICES = _choices(tuple((v, v) for v in S1_HIGH))
 
 
-@lru_cache(maxsize=None)
-def high_slot1_binding() -> dict[int, str]:
-    """Map each attainable new-element count to the block realizing it.
-
-    Measured against the maximal-cardinality base block at first use rather
-    than hardcoded, so a transcription slip in any block shows up here as a
-    loud failure instead of a silently wrong plan.
-    """
-    base = distinct_elements(realize_generator("W0"))
-    candidates = (
-        "W0",
-        "Hprime(2)",
-        "Hprime(4)",
-        "Hprime(6)",
-        "Hprime(8)",
-        "Wk(1)",
-        "Wk(2)",
-        "Wk(3)",
-        "W(5,6)",
-    )
-    binding: dict[int, str] = {}
-    for name in candidates:
-        n_new = count_new_elements(realize_generator(name), base)
-        if n_new in binding:
-            raise RuntimeError(
-                f"blocks {binding[n_new]} and {name} both add {n_new} new elements"
-            )
-        binding[n_new] = name
-    if set(binding) != set(S1_HIGH):
-        raise RuntimeError(
-            f"measured new-element counts {sorted(binding)} do not realize {S1_HIGH}"
-        )
-    return binding
-
-
 class SynthPlan(NamedTuple):
     """Block assignment per diagonal plus the arithmetic showing the target
     is met before any grid is built."""
@@ -257,13 +229,12 @@ def plan_qls8(c: int) -> SynthPlan:
             diagonals=(("W0", "Wk(1)"), ("Wk(2)", "Wk(4)")),
             witness={"prefix0_count": 31, "prefix1_count": 26, "total": 57},
         )
-    binding = high_slot1_binding()
     l1, l2 = _pick_per_diagonal(_HIGH_CHOICES, 2, c - 32)
     return SynthPlan(
         m=2,
         target_c=c,
         regime="QLS8-high",
-        diagonals=(("W0", binding[l1]), ("W0", binding[l2])),
+        diagonals=(("W0", HIGH_SLOT1[l1]), ("W0", HIGH_SLOT1[l2])),
         witness={
             "base": 32,
             "new_bottom_right": l1,
@@ -273,15 +244,22 @@ def plan_qls8(c: int) -> SynthPlan:
     )
 
 
+def w_block(slot: int) -> str:
+    """The W square that block slot i >= 1 of a diagonal may hold,
+    W(2i+3, 2i+4): slot 1 (16 new classes) and each tail slot 2..m-1 have
+    their own, pairwise disjoint."""
+    return f"W({2 * slot + 3},{2 * slot + 4})"
+
+
 def _low_slot_names(x0: int, x1: int, bits: tuple[int, ...]) -> tuple[str, ...]:
     slot0 = f"H({x0})"
     if x1 == 0:
         slot1 = slot0
     elif x1 == 16:
-        slot1 = "W(5,6)"
+        slot1 = w_block(1)
     else:
         slot1 = f"H({x1})"
-    tail = tuple(f"W({2 * i + 3},{2 * i + 4})" if b else slot0 for i, b in enumerate(bits, 2))
+    tail = tuple(w_block(i) if b else slot0 for i, b in enumerate(bits, 2))
     return (slot0, slot1) + tail
 
 
@@ -306,10 +284,9 @@ def _plan_low(m: int, c: int) -> SynthPlan:
 
 
 def _plan_high(m: int, c: int) -> SynthPlan:
-    binding = high_slot1_binding()
     x1s = _pick_per_diagonal(_HIGH_CHOICES, m, c - 16 * m * (m - 1))
-    tail = tuple(f"W({2 * i + 3},{2 * i + 4})" for i in range(2, m))
-    diagonals = tuple(("W0", binding[x1]) + tail for x1 in x1s)
+    tail = tuple(w_block(i) for i in range(2, m))
+    diagonals = tuple(("W0", HIGH_SLOT1[x1]) + tail for x1 in x1s)
     total = 16 * m * (m - 1) + sum(x1s)
     if total != c:
         raise RuntimeError(f"witness sum {total} does not match target {c}")

@@ -18,6 +18,9 @@ from qlatin.algebraic import (
     squarefree_decompose,
 )
 
+from qlatin.qls_core import QLSGrid, grid_from_json, grid_to_json
+from qlatin.vectors import QVector
+
 import fraction_reference as ref
 
 F = Fraction
@@ -68,6 +71,22 @@ class TestSquarefreeDecompose:
         assert RadExt.from_triples(x.to_triples()) is x
         with pytest.raises(ValueError, match=f"-bit radicand exceeds the cap of {cap} bits"):
             x * y
+
+    def test_product_the_reader_cannot_factor_is_refused_when_built(self):
+        # two primes just over the trial-division bound: their product's
+        # radicand needs a divisor over the bound, so the reader would refuse
+        # it, and the product is refused as it is built with the same error
+        x, y = sqrt_rational(1000003), sqrt_rational(1000033)
+        with pytest.raises(ValueError, match="cannot factor 1000036000099: divisor exceeds trial division bound"):
+            x * y
+
+    def test_product_over_the_bound_squared_that_factors_is_built(self):
+        # radicand 6 * 999999999989 = 5999999999934 is over the bound squared,
+        # but its prime cofactor is proved prime within the bound
+        x = sqrt_rational(6) * sqrt_rational(999999999989)
+        assert x.num == {5999999999934: 1}
+        grid = QLSGrid([[QVector([x])]])
+        assert grid_from_json(grid_to_json(grid)).cells[0][0].coefs == (x,)
 
     def test_large_prime_within_bound(self):
         # cofactor > bound is fine once all divisors up to sqrt are excluded

@@ -206,8 +206,9 @@ def test_claim_work_stays_under_its_ceiling(claim_id, count_work):
 
 
 def test_one_run_sweeps_each_order_once(monkeypatch):
-    # qls8/full-range and synthesis/full-sweep share one sweep of m = 2, the
-    # next run sweeps again, and a claim called outside a run always sweeps
+    # qls8/full-range sweeps m = 2 and the default synthesis/full-sweep
+    # sweeps m = 3 only, so a run sweeps m = 2 once, and so does the claim
+    # called on its own
     executed = []
 
     def counted(plan):

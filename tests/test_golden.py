@@ -80,7 +80,7 @@ GOLDEN = {
     "gen B(3)": "9bcca2d0216b3e3a830b1b5b85b85de6fc635aae028b0d3fdebe60eeccb5a375",
     "gen C(1)": "4119d86c17752d36e79dd23d310a7d6569982c977c8701e5eb60656efd0ce58a",
     "gen D(4)": "2220ec6df7960fb80f512e5b379c8d6375b81ecc5bbc9f4b33c9f959fb393123",
-    "claims --format json": "cde404e294177e44db6e68437eb047c826f1ec8d94b611597985d78633fff1e6",
+    "claims --format json": "b5859d9ef6472185cde004ed0ec082a6f7c8ab7b1290c189ed2b02f9a3d63761",
 }
 
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from qlatin import synthesis
 from qlatin.generators import realize_generator
-from qlatin.qls_core import cardinality, verify_qls
+from qlatin.qls_core import cardinality, count_new_elements, distinct_elements, verify_qls
 from qlatin.vectors import tensor
 from qlatin.synthesis import (
+    HIGH_SLOT1,
     S1_HIGH,
     S1_LOW,
     MAX_M,
@@ -20,7 +21,6 @@ from qlatin.synthesis import (
     _choices,
     _pick_per_diagonal,
     execute_plan,
-    high_slot1_binding,
     impossibility_message,
     plan_for,
     plan_qls4m,
@@ -143,7 +143,6 @@ class TestPlanning:
     def test_cold_planning_memory_at_max_m(self):
         # a cold plan at the largest m, low and high regime, holds masks
         # only: no per-count set of sums
-        high_slot1_binding()
         reachable_sums.clear()
         synthesis._low_choices.cache_clear()
         tracemalloc.start()
@@ -162,18 +161,24 @@ class TestPlanning:
         assert plan_for(3, 120).regime == "high"
 
     def test_slot1_binding_is_measured(self):
-        binding = high_slot1_binding()
-        assert binding == {
-            0: "W0",
-            2: "Hprime(2)",
-            4: "Hprime(4)",
-            6: "Hprime(6)",
-            8: "Hprime(8)",
-            12: "Wk(2)",
-            14: "Wk(3)",
-            15: "Wk(1)",
-            16: "W(5,6)",
-        }
+        # each high-regime block adds exactly its key's count of classes
+        # beyond W0, so a slip in the table fails here; ascending, since
+        # the planner prefers the smaller count
+        assert S1_HIGH == tuple(HIGH_SLOT1) == (0, 2, 4, 6, 8, 12, 14, 15, 16)
+        base = distinct_elements(realize_generator("W0"))
+        for count, name in HIGH_SLOT1.items():
+            assert count_new_elements(realize_generator(name), base) == count, name
+
+    def test_planning_realizes_no_generator(self, monkeypatch):
+        # which block adds how many classes is data: only execute_plan builds
+        calls = []
+        monkeypatch.setattr(synthesis, "realize_generator", calls.append)
+        for m in (2, 3, 4):
+            rng = valid_cardinalities(m)
+            for c in range(rng.lo, rng.hi + 1):
+                if c != rng.excluded:
+                    plan_for(m, c)
+        assert calls == []
 
     def test_plan_json_key_order(self):
         keys = list(plan_for(2, 20).to_json_dict())
