@@ -29,16 +29,16 @@ from typing import Union
 Scalar = Union[int, Fraction]
 
 #: Largest trial divisor used by squarefree_decompose; fixed, so one input has
-#: one answer.  A radicand that needs more is a ValueError (the CLI exits 2),
-#: and RadExt refuses to build a value holding one, so the grid reader reads
-#: back every value that exists.
+#: one answer.  A radicand that needs more is a ValueError (the CLI exits 2).
+#: Arithmetic never refuses a value; the writer (to_triples) refuses one that
+#: holds such a radicand, so the grid reader reads back every value written.
 TRIAL_DIVISION_BOUND = 1_000_000
 
-#: Largest radicand, in bits, of any value: squarefree_decompose refuses a
+#: Largest radicand, in bits, that squarefree_decompose accepts: it refuses a
 #: larger one before any division, which bounds the cost of each division of
-#: the trial loop, and RadExt refuses to build a value holding one (a product
-#: can make it from two smaller ones), so the grid reader accepts every value
-#: that exists.  Fixed, so one input has one answer.
+#: the trial loop.  A product can make a larger radicand from two smaller
+#: ones; arithmetic builds it, and the writer (to_triples) refuses it, so the
+#: grid reader accepts every value written.  Fixed, so one input has one answer.
 RADICAND_MAX_BITS = 1024
 
 _SIGN_START_BITS = 64
@@ -140,24 +140,12 @@ class RadExt(object):
     @classmethod
     def _raw(cls, den: int, num: dict[int, int]) -> "RadExt":
         """internal: the one live object for (den, num), which must already be
-        in lowest terms; every constructor ends here, so a new value the grid
-        reader would refuse is a ValueError: one with a radicand over
-        RADICAND_MAX_BITS, or one that needs a trial divisor over
-        TRIAL_DIVISION_BOUND."""
+        in lowest terms; every constructor ends here.  It only interns, so
+        arithmetic never refuses a value: the radicand limits are checked
+        where a value is factored on entry, and by to_triples on exit."""
         key = (den, *sorted(num.items()))
         self = _LIVE.get(key)
         if self is None:
-            top = max(num, default=1)
-            bits = top.bit_length()
-            if bits > RADICAND_MAX_BITS:
-                raise ValueError(
-                    f"a {bits}-bit radicand exceeds the cap of {RADICAND_MAX_BITS} bits"
-                )
-            if top > TRIAL_DIVISION_BOUND**2:
-                # the reader's own factoring, which raises the reader's error;
-                # a radicand up to the bound squared needs no divisor above it
-                for d in num:
-                    _decompose(d)
             self = object.__new__(cls)
             self.den = den
             self.num = num
@@ -286,10 +274,15 @@ class RadExt(object):
             prec *= 2
 
     def to_triples(self) -> list[list[int]]:
-        """Serialize as [numerator, denominator, radicand] triples, radicand ascending."""
+        """Serialize as [numerator, denominator, radicand] triples, radicand
+        ascending.  A radicand the reader would refuse is a ValueError with
+        the reader's message; one up to TRIAL_DIVISION_BOUND**2 factors within
+        the bound and is under the bit cap, so only larger ones are factored."""
         den = self.den
         out = []
         for d, n in sorted(self.num.items()):
+            if d > TRIAL_DIVISION_BOUND**2:
+                squarefree_decompose(d)
             g = math.gcd(n, den)
             out.append([n // g, den // g, d])
         return out

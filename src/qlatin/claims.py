@@ -101,14 +101,17 @@ _ON_PROOF_GRID = f"on the 5 x 5 proof grid {_A_SIDE} by {_B_SIDE}, so for every 
 COVERAGE_M = (3, 4, 5)
 DP_M = (3, 4, 5, 6, 7, 8)
 DISJOINT_M = (3, 4, 5)
+# the largest --witness-bound: the three witness claims' work grows about as
+# its fourth power, 2 to 2.5 s at 16 on a shared 2-vCPU host
+MAX_WITNESS_BOUND = 16
 
 
 @dataclass(frozen=True)
 class ClaimConfig:
-    """What the command line sets: `--witness-bound`, the bound of the
-    rational witness grid of the three `separations/*` claims (default 4),
-    and `--m`, the orders the `synthesis/full-sweep` claim builds (default
-    m = 3 only, since `qls8/full-range` always sweeps m = 2)."""
+    """What the command line sets: `--witness-bound`, the bound of the rational
+    witness grid of the `separations/*` claims (default 4, at most
+    MAX_WITNESS_BOUND), and `--m`, the orders `synthesis/full-sweep` builds
+    (default m = 3 only, since `qls8/full-range` always sweeps m = 2)."""
 
     witness_bound: int = 4
     sweep_m: tuple[int, ...] = (3,)
@@ -119,6 +122,8 @@ class ClaimConfig:
         b = self.witness_bound
         if not isinstance(b, int) or isinstance(b, bool) or b < 1:
             raise ValueError(f"witness bound must be an integer >= 1, got {b!r}")
+        if b > MAX_WITNESS_BOUND:
+            raise ValueError(f"witness bound must be at most {MAX_WITNESS_BOUND}, got {b}")
         for m in self.sweep_m:
             _check_m(m, 2)
 

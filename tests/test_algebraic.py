@@ -26,6 +26,36 @@ import fraction_reference as ref
 F = Fraction
 
 
+def _over_the_cap_pair() -> tuple[int, int]:
+    """Two squarefree radicands under RADICAND_MAX_BITS whose product is over it."""
+    cap = algebraic.RADICAND_MAX_BITS
+    primes = [p for p in range(3, 2000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
+    a = b = 1
+    for p in primes:
+        if a.bit_length() < cap // 2 + 8:
+            a *= p
+        elif b.bit_length() < cap // 2 + 8:
+            b *= p
+    assert a.bit_length() <= cap and b.bit_length() <= cap < (a * b).bit_length()
+    return a, b
+
+
+# Sums and products of roots of radicands near 1, near the bound squared, and
+# of primes just over the bound, drawn under a small trial-division bound so
+# that each refusal's trial division is short.
+_SMALL_BOUND = 1000
+_near_the_limits = st.one_of(
+    st.integers(1, 50),
+    st.integers(_SMALL_BOUND**2 - 50, _SMALL_BOUND**2 + 50),
+    st.sampled_from([1009, 1013, 1019, 1021, 1031, 1033]),
+)
+_values_near_the_limits = st.recursive(
+    st.builds(lambda d, k: k * sqrt_rational(d), _near_the_limits, st.integers(-3, 3).filter(bool)),
+    lambda kids: st.builds(lambda x, y: x + y, kids, kids) | st.builds(lambda x, y: x * y, kids, kids),
+    max_leaves=4,
+)
+
+
 class TestSquarefreeDecompose:
     def test_basic_splits(self):
         assert squarefree_decompose(1) == (1, 1)
@@ -54,31 +84,27 @@ class TestSquarefreeDecompose:
         with pytest.raises(ValueError, match=f"cannot factor a {cap + 1}-bit radicand: exceeds the cap of {cap} bits"):
             squarefree_decompose(1 << cap)
 
-    def test_product_over_the_bit_cap_is_refused_when_built(self):
+    def test_product_over_the_bit_cap_is_refused_when_written(self):
         # two squarefree radicands under the cap whose product is over it:
-        # the product is refused as it is built, so no value exists that
-        # the grid reader would refuse
+        # arithmetic builds the product, and the writer refuses it with the
+        # reader's message, so nothing is written that the reader refuses
+        a, b = _over_the_cap_pair()
         cap = algebraic.RADICAND_MAX_BITS
-        primes = [p for p in range(3, 2000, 2) if all(p % q for q in range(3, math.isqrt(p) + 1, 2))]
-        a = b = 1
-        for p in primes:
-            if a.bit_length() < cap // 2 + 8:
-                a *= p
-            elif b.bit_length() < cap // 2 + 8:
-                b *= p
-        assert a.bit_length() <= cap and b.bit_length() <= cap < (a * b).bit_length()
         x, y = sqrt_rational(a), sqrt_rational(b)
         assert RadExt.from_triples(x.to_triples()) is x
-        with pytest.raises(ValueError, match=f"-bit radicand exceeds the cap of {cap} bits"):
-            x * y
+        xy = x * y
+        assert xy.num == {a * b: 1}
+        with pytest.raises(ValueError, match=f"-bit radicand: exceeds the cap of {cap} bits"):
+            grid_to_json(QLSGrid([[QVector([xy])]]))
 
-    def test_product_the_reader_cannot_factor_is_refused_when_built(self):
+    def test_product_the_reader_cannot_factor_is_refused_when_written(self):
         # two primes just over the trial-division bound: their product's
         # radicand needs a divisor over the bound, so the reader would refuse
-        # it, and the product is refused as it is built with the same error
-        x, y = sqrt_rational(1000003), sqrt_rational(1000033)
-        with pytest.raises(ValueError, match="cannot factor 1000036000099: divisor exceeds trial division bound"):
-            x * y
+        # it; arithmetic builds it, and the writer refuses it with that error
+        xy = sqrt_rational(1000003) * sqrt_rational(1000033)
+        assert xy.num == {1000036000099: 1}
+        with pytest.raises(ValueError, match="cannot factor 1000036000099: divisor exceeds trial division bound 1000000"):
+            grid_to_json(QLSGrid([[QVector([xy])]]))
 
     def test_product_over_the_bound_squared_that_factors_is_built(self):
         # radicand 6 * 999999999989 = 5999999999934 is over the bound squared,
@@ -87,6 +113,24 @@ class TestSquarefreeDecompose:
         assert x.num == {5999999999934: 1}
         grid = QLSGrid([[QVector([x])]])
         assert grid_from_json(grid_to_json(grid)).cells[0][0].coefs == (x,)
+
+    @given(st.data())
+    @settings(deadline=None)
+    def test_writer_refuses_only_what_the_reader_refuses(self, data):
+        # the writer either refuses a value with the reader's own error or
+        # writes what reads back as the same object
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algebraic, "TRIAL_DIVISION_BOUND", _SMALL_BOUND)
+            x = data.draw(_values_near_the_limits)
+            grid = QLSGrid([[QVector([x])]])
+            try:
+                text = grid_to_json(grid)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as read:
+                    RadExt.from_triples(ref.to_triples(x.terms))
+                assert str(read.value) == str(exc)
+            else:
+                assert grid_from_json(text).cells == grid.cells
 
     def test_large_prime_within_bound(self):
         # cofactor > bound is fine once all divisors up to sqrt are excluded

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,12 @@ from hypothesis import strategies as st
 
 import qlatin
 from qlatin import algebraic, claims, cli, qls_core
+from qlatin.algebraic import sqrt_rational
 from qlatin.cli import main
 from qlatin.generators import PARAM_MAX_SIZE, parse_generator_id, realize_generator
-from qlatin.qls_core import grid_from_json, grid_to_json
+from qlatin.qls_core import QLSGrid, grid_from_json, grid_to_json
 from qlatin.synthesis import MAX_M, execute_plan, plan_for
+from qlatin.vectors import QVector
 
 from test_qls_core import _JSON_VALUES, _mutate, _reference_parse
 
@@ -147,6 +150,20 @@ class TestVerifyFailures:
         for command in ("verify", "cardinality"):
             code, out, err = run_cli(capsys, command, str(path))
             assert code == 2 and out == "" and err.startswith("error:"), (command, err)
+
+    def test_inner_product_the_reader_cannot_factor_names_the_pair(self, capsys, tmp_path):
+        # a readable order-2 grid of units whose row-0 inner product has the
+        # radicand 1000036000099, which needs a trial divisor over the bound:
+        # the failure still names the pair
+        def unit(p):
+            return QVector([sqrt_rational(Fraction(p, p + 1)), sqrt_rational(Fraction(1, p + 1))])
+
+        u, v = unit(1000003), unit(1000033)
+        path = tmp_path / "large.json"
+        path.write_text(grid_to_json(QLSGrid([[u, v], [v, u]])))
+        for command in ("verify", "cardinality"):
+            got = run_cli(capsys, command, str(path))
+            assert got == (1, "", "FAIL: row 0: cells 0 and 1 are not orthogonal\n"), command
 
     def test_corrupted_grid_exits_1(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "gen", "H(0)")
@@ -374,6 +391,8 @@ class TestRangeAndClaims:
             (("--m", "1"), "m must be an integer >= 2, got 1"),
             (("--m", "2", "--m", str(MAX_M + 1)),
              f"m must be at most {MAX_M} (order {4 * MAX_M}), got {MAX_M + 1}"),
+            # unbounded work: the witness claims grow as the bound's fourth power
+            (("--witness-bound", "100000"), f"witness bound must be at most {claims.MAX_WITNESS_BOUND}, got 100000"),
         ],
     )
     def test_claims_rejects_senseless_arguments(self, capsys, argv, err):

@@ -31,6 +31,8 @@ from qlatin.qls_core import (
 from qlatin.synthesis import execute_plan, plan_for, synth
 from qlatin.vectors import QVector, basis_vector, canonicalize, vec_neg, vec_scale
 
+from test_algebraic import _over_the_cap_pair
+
 F = Fraction
 
 
@@ -60,6 +62,15 @@ class TestVerification:
         cells = [[half, basis_vector(2, 1)], [basis_vector(2, 1), basis_vector(2, 0)]]
         report = verify_qls(QLSGrid(cells))
         assert not report.ok and report.location == ("unit", 0, 0)
+
+    def test_product_over_the_bit_cap_names_the_pair(self):
+        # the two cells' inner product has a radicand over RADICAND_MAX_BITS;
+        # arithmetic builds it, so the check names the pair instead of raising
+        a, b = _over_the_cap_pair()
+        u, v = QVector([sqrt_rational(a)]), QVector([sqrt_rational(b)])
+        report = qls_core._check_lines("row", [(u, v)])
+        assert report.location == ("row", 0, 0, 1)
+        assert report.message == "row 0: cells 0 and 1 are not orthogonal"
 
     def test_orthogonal_but_sign_flipped_passes(self):
         g = QLSGrid(
