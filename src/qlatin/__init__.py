@@ -29,7 +29,7 @@ _HOMES = {
     ),
     "synthesis": (
         "CardinalityRange", "CardinalityRangeError", "ImpossibleCardinalityError",
-        "SynthPlan", "execute_plan", "plan_for", "synth", "valid_cardinalities",
+        "SynthPlan", "execute_plan", "execute_plans", "plan_for", "synth", "valid_cardinalities",
     ),
     "claims": ("ClaimConfig", "ClaimResult", "run_all_claims"),
 }

@@ -46,13 +46,15 @@ _SIGN_START_BITS = 64
 
 @lru_cache(maxsize=4096)
 def _decompose(n: int) -> tuple[int, int]:
+    given = n
     s, d = 1, 1
     p = 2
     while p * p <= n:
         if p > TRIAL_DIVISION_BOUND:
-            # a long radicand is named by its size: its digits would make the
+            # the message names the radicand given, not the cofactor left; a
+            # long one is named by its size: its digits would make the
             # message as long as the input, or too long for str() to print
-            what = n if n.bit_length() <= 64 else f"a {n.bit_length()}-bit radicand"
+            what = given if given.bit_length() <= 64 else f"a {given.bit_length()}-bit radicand"
             raise ValueError(
                 f"cannot factor {what}: divisor exceeds trial division bound {TRIAL_DIVISION_BOUND}"
             )

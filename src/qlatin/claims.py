@@ -74,11 +74,11 @@ from .synthesis import (
     _check_m,
     _qls8_low_plan,
     execute_plan,
+    execute_plans,
     plan_for,
     plan_qls8,
     reachable_sums,
     set_bits,
-    synth,
     valid_cardinalities,
     w_block,
 )
@@ -538,9 +538,8 @@ def _claim_w56_vs_w0(cfg: ClaimConfig):
 
 def _claim_qls8_layout_table(cfg: ClaimConfig):
     plans = [_qls8_low_plan(*row, ell) for row in _QLS8_ROWS for ell in _QLS8_OFFSETS]
-    for plan in plans:
-        execute_plan(plan)  # raises if the count misses base + ell
-    return True, f"{len(plans)} layout/offset combinations all count to base plus offset"
+    built = sum(1 for _ in execute_plans(plans))  # raises if a count misses base + ell
+    return True, f"{built} layout/offset combinations all count to base plus offset"
 
 
 def _claim_qls8_c57(cfg: ClaimConfig):
@@ -558,10 +557,9 @@ def _synth_every_target(m: int) -> int:
     """Synthesize, verify and count a grid at every attainable cardinality
     of order 4m; the number built."""
     rng = valid_cardinalities(m)
-    for c in range(rng.lo, rng.hi + 1):
-        if c != rng.excluded:
-            synth(m, c)  # execute_plan re-verifies and re-counts
-    return rng.hi - rng.lo
+    plans = (plan_for(m, c) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded)
+    # one batch; each grid is re-verified and re-counted
+    return sum(1 for _ in execute_plans(plans))
 
 
 def _claim_qls8_full_range(cfg: ClaimConfig):

@@ -18,6 +18,15 @@ cell's support and squared coefficients, without the canonical form, and
 squares each distinct coefficient and inner product once per call. Those
 tables are locals of one call, so they never outgrow its grid.
 
+A batch of grids that share cell objects, as `synthesis.execute_plans`
+builds them, is verified and counted through one private table set
+(`_GridWork`), a local of the batch: each distinct line's verdict (its least
+failing pair, or none) keyed on the tuple of its cells' ids, each cell's
+unit test and canonical form keyed on its id, each distinct row's classes,
+and the sign and negation of each distinct coefficient. A line met again in
+a later grid is then one lookup. The reports are those `verify_qls` and
+`cardinality` give, and a lone grid takes their path, with no id table.
+
 Grid JSON costs time and memory in proportion to a grid's nonzero
 coordinates, not its n^3 coordinates, and its bytes are those of
 `json.dumps(grid_to_json_dict(g), separators=(",", ":"))` plus a newline:
@@ -56,7 +65,7 @@ from __future__ import annotations
 import gc
 import json
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebraic import ONE, RadExt
@@ -150,7 +159,8 @@ class RowQLR(object):
 
 class _Table(dict):
     """f(e) for each distinct value e, computed on its first lookup.
-    A table is a local of one call, so it never outgrows that call's input."""
+    A table is a local of one call or one batch, so it never outgrows that
+    input."""
 
     __slots__ = ("f",)
 
@@ -162,25 +172,41 @@ class _Table(dict):
         return x
 
 
+def _least_bad_pair(cells: Sequence[QVector]) -> tuple[int, int] | tuple[()]:
+    """The least (p, q) whose cells in the line are not orthogonal, or ()."""
+    # positions holding each coordinate, ascending
+    holders: dict[int, list[int]] = {}
+    for p, v in enumerate(cells):
+        for i in v.support:
+            holders.setdefault(i, []).append(p)
+    # each pair that shares a coordinate, once; equal holder lists (all of
+    # them in a dense line) give equal pairs, so each is expanded once
+    groups = {tuple(h) for h in holders.values() if len(h) > 1}
+    pairs = {pq for h in groups for pq in combinations(h, 2)}
+    bad = [(p, q) for p, q in pairs if not inner_product(cells[p], cells[q]).is_zero]
+    return min(bad) if bad else ()
+
+
+def _line_failure(kind: str, index: int, pair: tuple[int, int]) -> VerificationReport:
+    p, q = pair
+    return VerificationReport(
+        ok=False,
+        message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
+        location=(kind, index, p, q),
+    )
+
+
+def _unit_failure(r: int, c: int) -> VerificationReport:
+    return VerificationReport(
+        ok=False, message=f"cell ({r},{c}) is not a unit vector", location=("unit", r, c)
+    )
+
+
 def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
     for index, cells in enumerate(lines):
-        # positions holding each coordinate, ascending
-        holders: dict[int, list[int]] = {}
-        for p, v in enumerate(cells):
-            for i in v.support:
-                holders.setdefault(i, []).append(p)
-        # each pair that shares a coordinate, once; equal holder lists (all of
-        # them in a dense line) give equal pairs, so each is expanded once
-        groups = {tuple(h) for h in holders.values() if len(h) > 1}
-        pairs = {pq for h in groups for pq in combinations(h, 2)}
-        bad = [(p, q) for p, q in pairs if not inner_product(cells[p], cells[q]).is_zero]
+        bad = _least_bad_pair(cells)
         if bad:
-            p, q = min(bad)
-            return VerificationReport(
-                ok=False,
-                message=f"{kind} {index}: cells {p} and {q} are not orthogonal",
-                location=(kind, index, p, q),
-            )
+            return _line_failure(kind, index, bad)
     return None
 
 
@@ -188,12 +214,113 @@ def _check_units(rows: Sequence[Sequence[QVector]]) -> VerificationReport | None
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
             if inner_product(v, v) is not ONE:
-                return VerificationReport(
-                    ok=False,
-                    message=f"cell ({r},{c}) is not a unit vector",
-                    location=("unit", r, c),
-                )
+                return _unit_failure(r, c)
     return None
+
+
+def _verify(g: QLSGrid, check_units, check_lines) -> VerificationReport:
+    """The first failing unit, row or column of g, by the given checks;
+    cached on the grid."""
+    if g._verify_report is None:
+        g._verify_report = (
+            check_units(g.cells)
+            or check_lines("row", g.cells)
+            or check_lines("col", zip(*g.cells))
+            or VerificationReport(ok=True)
+        )
+    return g._verify_report
+
+
+def _count(g: QLSGrid, verify, classes) -> CardinalityReport:
+    """The phase classes of a grid that `verify` passes, as `classes` finds
+    them; cached on the grid."""
+    if g._card_report is None:
+        verdict = verify(g)
+        if not verdict.ok:
+            raise ValueError(f"grid is not a QLS: {verdict.message}")
+        forms = classes(g)
+        g._card_report = CardinalityReport(cardinality=len(forms), classes=forms)
+    return g._card_report
+
+
+class _GridWork(object):
+    """verify and count for a batch of grids, sharing their work. A line is
+    keyed on the tuple of its cells' ids, and a cell on its id:
+
+    - `lines`: each distinct line's verdict, its least failing pair or ();
+    - `row_classes`: each distinct row's canonical forms;
+    - `units`, `canon`: each cell's unit test and canonical form;
+    - `forms`: one object for each distinct canonical form;
+    - `sign`, `neg`: each distinct coefficient's sign and negation.
+
+    A row met again in a later grid costs one lookup per table. An id names
+    one object only while that object lives, so the maker of the tables must
+    hold every cell it checks until the tables go: a batch of synthesized
+    grids holds its shifted blocks until it ends (`synthesis.execute_plans`).
+    The tables are locals of that batch."""
+
+    __slots__ = ("lines", "row_classes", "units", "canon", "forms", "sign", "neg")
+
+    def __init__(self) -> None:
+        self.lines: dict[tuple[int, ...], tuple[int, int] | tuple[()]] = {}
+        self.row_classes: dict[tuple[int, ...], frozenset[QVector]] = {}
+        self.units: dict[int, bool] = {}
+        self.canon: dict[int, QVector] = {}
+        self.forms: dict[tuple, QVector] = {}
+        self.sign = _Table(RadExt.sign).__getitem__
+        self.neg = _Table(RadExt.__neg__).__getitem__
+
+    def _lines(self, kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
+        verdicts = self.lines
+        for index, cells in enumerate(lines):
+            key = tuple(map(id, cells))
+            bad = verdicts.get(key)
+            if bad is None:
+                bad = verdicts[key] = _least_bad_pair(cells)
+            if bad:
+                return _line_failure(kind, index, bad)
+        return None
+
+    def _units(self, rows: Sequence[Sequence[QVector]]) -> VerificationReport | None:
+        units, lines = self.units, self.lines
+        for r, row in enumerate(rows):
+            # a line with a verdict is in a grid whose cells all passed
+            if tuple(map(id, row)) in lines:
+                continue
+            for c, v in enumerate(row):
+                ok = units.get(id(v))
+                if ok is None:
+                    ok = units[id(v)] = inner_product(v, v) is ONE
+                if not ok:
+                    return _unit_failure(r, c)
+        return None
+
+    def _form(self, v: QVector) -> QVector:
+        form = self.canon.get(id(v))
+        if form is None:
+            # equal forms are one object, so merging rows compares none
+            f = _canonical(v, self.sign, self.neg)
+            form = self.canon[id(v)] = self.forms.setdefault((f.dim, f.support, f.coefs), f)
+        return form
+
+    def _classes(self, g: QLSGrid) -> frozenset[QVector]:
+        known, form = self.row_classes, self._form
+        forms = []
+        for row in g.cells:
+            key = tuple(map(id, row))
+            got = known.get(key)
+            if got is None:
+                got = known[key] = frozenset(map(form, row))
+            forms.append(got)
+        return frozenset().union(*forms)
+
+    def verify(self, g: QLSGrid) -> VerificationReport:
+        """verify_qls(g), through the tables."""
+        return _verify(g, self._units, self._lines)
+
+    def count(self, g: QLSGrid) -> CardinalityReport:
+        """cardinality(g), through the tables."""
+        return _count(g, self.verify, self._classes)
 
 
 def check_orthonormal(vectors: Sequence[QVector]) -> VerificationReport | None:
@@ -205,16 +332,7 @@ def check_orthonormal(vectors: Sequence[QVector]) -> VerificationReport | None:
 
 def verify_qls(g: QLSGrid) -> VerificationReport:
     """Check every unit and orthogonality equation exactly; cached per grid."""
-    if g._verify_report is not None:
-        return g._verify_report
-    report = (
-        _check_units(g.cells)
-        or _check_lines("row", g.cells)
-        or _check_lines("col", zip(*g.cells))
-        or VerificationReport(ok=True)
-    )
-    g._verify_report = report
-    return report
+    return _verify(g, _check_units, _check_lines)
 
 
 def verify_row_qlr(r: RowQLR) -> VerificationReport:
@@ -224,15 +342,11 @@ def verify_row_qlr(r: RowQLR) -> VerificationReport:
 
 def cardinality(g: QLSGrid) -> CardinalityReport:
     """Count phase classes by canonical form; requires a verified grid."""
-    if g._card_report is not None:
-        return g._card_report
-    verdict = verify_qls(g)
-    if not verdict.ok:
-        raise ValueError(f"grid is not a QLS: {verdict.message}")
-    classes = canonical_set(v for row in g.cells for v in row)
-    report = CardinalityReport(cardinality=len(classes), classes=classes)
-    g._card_report = report
-    return report
+    return _count(g, verify_qls, _cell_classes)
+
+
+def _cell_classes(g: QLSGrid) -> frozenset[QVector]:
+    return canonical_set(chain.from_iterable(g.cells))
 
 
 def cardinality_oracle(g: QLSGrid) -> int:

@@ -33,6 +33,7 @@ from qlatin.synthesis import (
     S1_HIGH,
     S1_LOW,
     ImpossibleCardinalityError,
+    execute_plans,
     plan_for,
     reachable_sums,
     set_bits,
@@ -41,7 +42,7 @@ from qlatin.synthesis import (
 )
 from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, vec_neg, vec_scale
 
-SWEEP_M = (2, 3, 4, 5, 6, 7)
+SWEEP_M = (2, 3, 4, 5, 6, 7, 8)
 # criterion 8 recounts every swept grid up to this order with the oracle;
 # it may rise over time, never fall
 ORACLE_MAX_ORDER = 28
@@ -61,10 +62,9 @@ def sweep_records():
     records = []
     for m in SWEEP_M:
         rng = valid_cardinalities(m)
-        for c in range(rng.lo, rng.hi + 1):
-            if c == rng.excluded:
-                continue
-            _, grid = synth(m, c)
+        targets = [c for c in range(rng.lo, rng.hi + 1) if c != rng.excluded]
+        # one batch per order: execute_plans re-verifies and re-counts each grid
+        for c, grid in zip(targets, execute_plans(plan_for(m, c) for c in targets)):
             counted = cardinality(grid).cardinality
             oracle = cardinality_oracle(grid) if grid.order <= ORACLE_MAX_ORDER else None
             records.append((m, c, grid.order, verify_qls(grid).ok, counted, oracle))
@@ -80,7 +80,7 @@ def _require(claims_by_id, *ids):
 
 def test_criterion_01_full_sweep_exact_cardinalities(sweep_records):
     per_m = Counter(r[0] for r in sweep_records)
-    assert per_m == {2: 56, 3: 132, 4: 240, 5: 380, 6: 552, 7: 756}
+    assert per_m == {2: 56, 3: 132, 4: 240, 5: 380, 6: 552, 7: 756, 8: 992}
     bad = [(m, c) for m, c, _, ok, counted, _ in sweep_records if not ok or counted != c]
     assert not bad, f"failed targets: {bad[:5]}"
     print(

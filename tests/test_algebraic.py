@@ -77,6 +77,23 @@ class TestSquarefreeDecompose:
         with pytest.raises(ValueError, match="trial division bound"):
             squarefree_decompose(1000003**2)
 
+    @pytest.mark.parametrize(
+        "n,named",
+        [
+            # small prime factors are divided out before the bound is met;
+            # the message names the radicand given, not the cofactor left
+            (4 * 1000003 * 1000033, "4000144000396"),
+            # small primes leave a 47-bit cofactor here; the 80-bit
+            # radicand given is named by its size
+            ((10**12 + 1) * (10**12 + 3), "a 80-bit radicand"),
+        ],
+    )
+    def test_bound_exceeded_names_the_radicand_given(self, n, named):
+        want = f"cannot factor {named}: divisor exceeds trial division bound 1000000"
+        with pytest.raises(ValueError) as exc:
+            squarefree_decompose(n)
+        assert str(exc.value) == want
+
     def test_radicand_over_the_bit_cap_is_refused_before_dividing(self):
         cap = algebraic.RADICAND_MAX_BITS
         # a power of two at the cap factors by halving alone

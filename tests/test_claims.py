@@ -17,7 +17,7 @@ from qlatin.claims import (
     run_all_claims,
 )
 from qlatin.generators import mat, y_matrices
-from qlatin.synthesis import execute_plan
+from qlatin.synthesis import execute_plans
 
 _SEPARATIONS = {"separations/c-vs-a-and-b", "separations/d-vs-a-and-b", "separations/within-family"}
 
@@ -208,19 +208,27 @@ def test_claim_work_stays_under_its_ceiling(claim_id, count_work):
 def test_one_run_sweeps_each_order_once(monkeypatch):
     # qls8/full-range sweeps m = 2 and the default synthesis/full-sweep
     # sweeps m = 3 only, so a run sweeps m = 2 once, and so does the claim
-    # called on its own
-    executed = []
+    # called on its own. Each sweep is one batch; its plans are counted as
+    # the batch executes them, and a sweep of order 8 is a batch that
+    # executes each of the 56 targets' plans exactly once
+    batches = []
 
-    def counted(plan):
-        executed.append((plan.m, plan.target_c, plan.diagonals))
-        return execute_plan(plan)
+    def counted(plans):
+        plans, executed = list(plans), Counter()
+        batches.append(executed)
+        for plan, grid in zip(plans, execute_plans(plans)):
+            executed[plan.m, plan.target_c, plan.diagonals] += 1
+            yield grid
 
-    monkeypatch.setattr(synthesis, "execute_plan", counted)
+    monkeypatch.setattr(claims, "execute_plans", counted)
+    rng = synthesis.valid_cardinalities(2)
+    sweep = Counter(
+        (2, c, synthesis.plan_for(2, c).diagonals) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded
+    )
+    assert len(sweep) == 56
     for runs in (1, 2):
         assert all(r.status == "pass" for r in run_all_claims(ClaimConfig(witness_bound=1)))
-        per_plan = Counter(p for p in executed if p[0] == 2)
-        assert len(per_plan) == 56 and set(per_plan.values()) == {runs}
+        assert sum(b == sweep for b in batches) == runs
     for runs in (3, 4):
         assert _claim("qls8/full-range")(ClaimConfig())[0]
-        per_plan = Counter(p for p in executed if p[0] == 2)
-        assert len(per_plan) == 56 and set(per_plan.values()) == {runs}
+        assert sum(b == sweep for b in batches) == runs

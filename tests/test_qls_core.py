@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin import qls_core
+from qlatin import generators, qls_core
 from qlatin.algebraic import RadExt, sqrt_rational
 from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
@@ -28,7 +28,7 @@ from qlatin.qls_core import (
     verify_row_qlr,
     _grid_from_canonical,
 )
-from qlatin.synthesis import execute_plan, plan_for, synth
+from qlatin.synthesis import execute_plan, execute_plans, plan_for, synth, valid_cardinalities
 from qlatin.vectors import QVector, basis_vector, canonicalize, vec_neg, vec_scale
 
 from test_algebraic import _over_the_cap_pair
@@ -214,6 +214,31 @@ def test_work_stays_under_its_ceiling(target, count_work):
         for call, used in spent.items()
         for name, n in used.items()
         if n > WORK_CEILINGS[target][call].get(name, 0)
+    }
+    assert not over, f"(work, ceiling) above the ceiling: {over}"
+
+
+# Work of one batch, execute_plans over the 132 targets of order 12, counted
+# as above once every block is realized. Each distinct line's verdict and
+# each cell's unit test and canonical form is computed once per batch; the
+# same plans executed one by one make about 40,000 inner products. A
+# ceiling may only fall.
+BATCH_WORK_CEILING = {"inner_product": 5400, "sign": 85, "neg": 91, "eq": 0}
+
+
+def test_batch_work_stays_under_its_ceiling(count_work):
+    # emptied first, so the warm-up batch realizes every block without the
+    # bounded realize cache clearing itself under the counted batch
+    generators.make_block.cache_clear()
+    generators._REALIZE_CACHE.clear()
+    rng = valid_cardinalities(3)
+    plans = [plan_for(3, c) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded]
+    assert len(list(execute_plans(plans))) == 132
+    used = count_work(lambda: list(execute_plans(plans)))
+    over = {
+        name: (n, BATCH_WORK_CEILING.get(name, 0))
+        for name, n in used.items()
+        if n > BATCH_WORK_CEILING.get(name, 0)
     }
     assert not over, f"(work, ceiling) above the ceiling: {over}"
 

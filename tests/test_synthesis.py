@@ -1,6 +1,7 @@
 import itertools
 import re
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,16 @@ from hypothesis import strategies as st
 
 from qlatin import synthesis
 from qlatin.generators import realize_generator
-from qlatin.qls_core import cardinality, count_new_elements, distinct_elements, verify_qls
-from qlatin.vectors import tensor
+from qlatin.qls_core import (
+    QLSGrid,
+    cardinality,
+    count_new_elements,
+    distinct_elements,
+    grid_from_json,
+    grid_to_json,
+    verify_qls,
+)
+from qlatin.vectors import tensor, vec_scale
 from qlatin.synthesis import (
     HIGH_SLOT1,
     S1_HIGH,
@@ -21,6 +30,7 @@ from qlatin.synthesis import (
     _choices,
     _pick_per_diagonal,
     execute_plan,
+    execute_plans,
     impossibility_message,
     plan_for,
     plan_qls4m,
@@ -258,6 +268,20 @@ class TestExecution:
         execute_plan(plan)
         assert len(names) == 64 and calls == list(dict.fromkeys(names))
 
+    def test_each_generator_name_is_realized_once_per_batch(self, monkeypatch):
+        # in slot order, plan by plan, as the plans of a loop would first meet it
+        plans = [plan_for(8, 500), plan_for(3, 60), plan_for(8, 500), plan_for(2, 57)]
+        calls = []
+
+        def counted(gid):
+            calls.append(gid)
+            return realize_generator(gid)
+
+        monkeypatch.setattr(synthesis, "realize_generator", counted)
+        assert len(list(execute_plans(plans))) == 4
+        assert calls == list(dict.fromkeys(n for plan in plans for diag in plan.diagonals for n in diag))
+        assert len(calls) < sum(len({n for diag in plan.diagonals for n in diag}) for plan in plans)
+
     @pytest.mark.parametrize("m,c", [(3, 60), (8, 500), (16, 2000)])
     def test_each_block_is_shifted_once_per_diagonal(self, monkeypatch, m, c):
         # 16 tensor calls per distinct (diagonal, block), not 16 per slot
@@ -278,6 +302,72 @@ class TestExecution:
     def test_provenance_mentions_the_target(self):
         _, grid = synth(2, 30)
         assert "c=30" in grid.provenance
+
+
+def _sweep_plans(m: int) -> list[SynthPlan]:
+    rng = valid_cardinalities(m)
+    return [plan_for(m, c) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded]
+
+
+def _interleaved() -> list[SynthPlan]:
+    return [p for pair in zip(_sweep_plans(2), _sweep_plans(3)) for p in pair]
+
+
+class TestBatchExecution:
+    @pytest.mark.parametrize(
+        "plans", [_sweep_plans(2), _sweep_plans(3), _sweep_plans(4), _interleaved()],
+        ids=["m=2", "m=3", "m=4", "m=2,3 interleaved"],
+    )
+    def test_a_batch_matches_lone_plans(self, plans):
+        grids = list(execute_plans(plans))
+        assert len(grids) == len(plans)
+        for plan, grid in zip(plans, grids):
+            lone = execute_plan(plan)
+            assert grid.cells == lone.cells and grid.provenance == lone.provenance
+            # a recount of a parsed copy shares no cell object with the batch
+            again = grid_from_json(grid_to_json(grid))
+            assert cardinality(grid).classes == cardinality(again).classes
+            assert cardinality(again).cardinality == plan.target_c
+
+    def test_a_batch_shares_shifted_blocks(self):
+        # a block met again on the same diagonal, in any plan of the batch,
+        # reuses its cells
+        plans = _sweep_plans(3)
+        grids = list(execute_plans(plans))
+        cells = {id(v) for g in grids for row in g.cells for v in row}
+        shifts = {(gid, j) for p in plans for j, diag in enumerate(p.diagonals) for gid in diag}
+        assert len(cells) == 16 * len(shifts) < 16 * sum(len(set(d)) for p in plans for d in p.diagonals)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            plan_for(3, 70)._replace(target_c=71),
+            SynthPlan(2, 8, "QLS8-low", (("A(1)", "H(0)"), ("H(0)", "H(0)")), {}),
+            # blocks that are no QLS: H(0) with cell (0, 1) a copy of cell
+            # (0, 0), and H(0) with cell (2, 3) halved; the rows H(0) shares
+            # with the earlier grids of the batch are already verified
+            SynthPlan(2, 8, "x", (("H(0)", "H(0)"), ("copy", "H(0)")), {}),
+            SynthPlan(2, 8, "x", (("H(0)", "half"), ("H(0)", "H(0)")), {}),
+        ],
+        ids=["wrong target", "non-order-4 block", "non-orthogonal row", "non-unit cell"],
+    )
+    def test_a_bad_plan_mid_batch_raises_the_lone_error(self, monkeypatch, bad):
+        h = [list(row) for row in realize_generator("H(0)").cells]
+        copy = [row[:] for row in h]
+        copy[0][1] = h[0][0]
+        half = [row[:] for row in h]
+        half[2][3] = vec_scale(h[2][3], Fraction(1, 2))
+        fakes = {"copy": QLSGrid(copy), "half": QLSGrid(half)}
+        monkeypatch.setattr(synthesis, "realize_generator", lambda gid: fakes.get(gid) or realize_generator(gid))
+        with pytest.raises((RuntimeError, ValueError)) as lone:
+            execute_plan(bad)
+        good = [plan_for(2, 8), plan_for(3, 70)]
+        batch = execute_plans(good + [bad, plan_for(3, 71)])
+        for plan in good:
+            assert next(batch).cells == execute_plan(plan).cells
+        with pytest.raises(type(lone.value)) as got:
+            next(batch)
+        assert str(got.value) == str(lone.value)
 
 
 class TestRanges:
