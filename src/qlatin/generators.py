@@ -362,24 +362,37 @@ def parse_generator_id(text: str) -> GeneratorId:
     return GeneratorId(tag, params)
 
 
-# cleared when full, like the inner-product memo, so arbitrary names such as
-# W(a,b) cannot grow it without bound
-_REALIZE_CACHE_MAX = 256
+#: Largest supported m (order 4 * MAX_M). Grid size, JSON size and verify
+#: time all grow polynomially in m, so one command line must not ask for more.
+MAX_M = 32
+
+
+def w_block(slot: int) -> str:
+    """The W square that block slot i >= 1 of a diagonal may hold,
+    W(2i+3, 2i+4): slot 1 (16 new classes) and each tail slot 2..m-1 have
+    their own, pairwise disjoint."""
+    return f"W({2 * slot + 3},{2 * slot + 4})"
+
+
+#: Every block name a plan can hold, in canonical form: 49 at MAX_M = 32.
+#: `_REALIZE_CACHE` keeps only these, so the planner bounds it.
+_KEPT = frozenset([f"{tag}({i})" for tag in ("H", "Hprime", "Wk") for i in _GENERATORS[tag].indices]
+                  + ["W0", *map(w_block, range(1, MAX_M))])
 _REALIZE_CACHE: dict[str, QLSGrid] = {}
 
 
 def realize_generator(gid: GeneratorId | str) -> QLSGrid:
-    """Build (and cache) the grid a generator name denotes; cached grids are
-    shared, so their verification and cardinality caches are shared too."""
-    if isinstance(gid, str):
-        gid = parse_generator_id(gid)
-    key = gid.canonical()
-    got = _REALIZE_CACHE.get(key)
+    """The grid a generator name denotes. A name a plan can hold is built
+    once per process and shared, with its verify and count caches; a hit on
+    its canonical text does no parse. Any other id is built on each call."""
+    got = _REALIZE_CACHE.get(gid)
     if got is None:
-        spec = _GENERATORS[gid.tag]
-        args = gid.params if spec.indices is None else map(int, gid.params)
-        got = spec.build(*args)
-        if len(_REALIZE_CACHE) >= _REALIZE_CACHE_MAX:
-            _REALIZE_CACHE.clear()
-        _REALIZE_CACHE[key] = got
+        gid = parse_generator_id(gid) if isinstance(gid, str) else gid
+        key = gid.canonical()
+        got = _REALIZE_CACHE.get(key)
+        if got is None:
+            spec = _GENERATORS[gid.tag]
+            got = spec.build(*(gid.params if spec.indices is None else map(int, gid.params)))
+            if key in _KEPT:
+                _REALIZE_CACHE[key] = got
     return got

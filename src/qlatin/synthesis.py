@@ -19,10 +19,10 @@ Which block adds how many classes is data (`_low_slot_names`, `HIGH_SLOT1`,
 re-counts every grid it builds, and the claims prove each count.
 
 A sweep executes its plans as one batch (`execute_plans`): the same checks,
-errors and order as a loop of `execute_plan`, but each block name is
-realized once and each (name, m, diagonal) shift is built once, so the
-grids share cell objects and a line met again is verified once. The m = 3
-sweep makes about 5,300 inner products as a batch and 40,000 as a loop.
+errors and order as a loop of `execute_plan`, but each (name, m, diagonal)
+shift is built once, so the grids share cell objects and a line met again
+is verified once. The m = 3 sweep makes about 5,300 inner products as a
+batch and 40,000 as a loop.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .generators import realize_generator
+from .generators import MAX_M, realize_generator, w_block
 from .qls_core import QLSGrid, _GridWork, cardinality, verify_qls
 from .vectors import basis_vector, tensor
 
@@ -46,10 +46,6 @@ HIGH_SLOT1 = {
     12: "Wk(2)", 14: "Wk(3)", 15: "Wk(1)", 16: "W(5,6)",
 }
 S1_HIGH = tuple(HIGH_SLOT1)
-
-#: Largest supported m (order 4 * MAX_M). Grid size, JSON size and verify
-#: time all grow polynomially in m, so one command line must not ask for more.
-MAX_M = 32
 
 
 def _check_m(m: int, least: int) -> None:
@@ -250,13 +246,6 @@ def plan_qls8(c: int) -> SynthPlan:
     )
 
 
-def w_block(slot: int) -> str:
-    """The W square that block slot i >= 1 of a diagonal may hold,
-    W(2i+3, 2i+4): slot 1 (16 new classes) and each tail slot 2..m-1 have
-    their own, pairwise disjoint."""
-    return f"W({2 * slot + 3},{2 * slot + 4})"
-
-
 def _low_slot_names(x0: int, x1: int, bits: tuple[int, ...]) -> tuple[str, ...]:
     slot0 = f"H({x0})"
     if x1 == 0:
@@ -324,31 +313,26 @@ def plan_for(m: int, c: int) -> SynthPlan:
     return plan_qls8(c) if m == 2 else plan_qls4m(m, c)
 
 
-def _assemble(plan: SynthPlan, blocks: dict, shifted: dict) -> QLSGrid:
-    """The grid a plan describes. `blocks` holds each order-4 block's cells,
-    keyed on its name, and `shifted` each block shifted onto its diagonal,
-    keyed on (name, m, diagonal): a block met again, on the same diagonal or
-    in a later plan of the same batch, reuses its cells."""
+def _assemble(plan: SynthPlan, shifted: dict) -> QLSGrid:
+    """The grid a plan describes. `shifted` holds each order-4 block shifted
+    onto its diagonal, keyed on (name, m, diagonal): a block met again, on
+    the same diagonal or in a later plan of the same batch, reuses its
+    cells. A name is realized where it is first shifted, in slot order."""
     m = plan.m
     order = 4 * m
     shape = [len(diag) for diag in plan.diagonals]
     if shape != [m] * m:
         raise ValueError(f"a plan for m={m} needs {m} diagonals of {m} names, got lengths {shape}")
-    # each new name is parsed and realized once, in slot order, so a bad
-    # name is reported at its first slot
-    for gid in dict.fromkeys(name for diag in plan.diagonals for name in diag):
-        if gid not in blocks:
-            block = realize_generator(gid)
-            if block.order != 4:
-                raise ValueError(f"generator {gid} is not an order-4 block")
-            blocks[gid] = block.cells
     cells = [[None] * order for _ in range(order)]
     for j, diag in enumerate(plan.diagonals):
         prefix = basis_vector(m, j)
         for i, gid in enumerate(diag):
             rows = shifted.get((gid, m, j))
             if rows is None:
-                rows = shifted[gid, m, j] = [[tensor(prefix, v) for v in row] for row in blocks[gid]]
+                block = realize_generator(gid)
+                if block.order != 4:
+                    raise ValueError(f"generator {gid} is not an order-4 block")
+                rows = shifted[gid, m, j] = [[tensor(prefix, v) for v in row] for row in block.cells]
             bj = (i + j) % m
             for k, row in enumerate(rows):
                 cells[i * 4 + k][bj * 4 : bj * 4 + 4] = row
@@ -373,20 +357,20 @@ def execute_plan(plan: SynthPlan) -> QLSGrid:
     """Assemble the grid a plan describes, then re-verify and re-count it.
     Each distinct block is shifted once per diagonal, so a block that
     repeats on its diagonal shares its cell objects."""
-    return _checked(plan, _assemble(plan, {}, {}), verify_qls, cardinality)
+    return _checked(plan, _assemble(plan, {}), verify_qls, cardinality)
 
 
 def execute_plans(plans: Iterable[SynthPlan]) -> Iterator[QLSGrid]:
     """execute_plan of each plan in turn, yielding each grid as it passes,
     with the same checks, errors and order. The plans share their work:
-    each name is realized once and each (name, m, diagonal) shift is built
-    once, so the grids share cell objects, and one table set holds each
-    distinct line's verdict and each cell's unit test and canonical form."""
+    each (name, m, diagonal) shift is built once, so the grids share cell
+    objects, and one table set holds each distinct line's verdict and each
+    cell's unit test and canonical form."""
     # `shifted` holds every cell of the batch until the batch ends, so no
     # cell id that `work` keys on is reused while `work` lives
-    blocks, shifted, work = {}, {}, _GridWork()
+    shifted, work = {}, _GridWork()
     for plan in plans:
-        yield _checked(plan, _assemble(plan, blocks, shifted), work.verify, work.count)
+        yield _checked(plan, _assemble(plan, shifted), work.verify, work.count)
 
 
 def synth(m: int, c: int) -> tuple[SynthPlan, QLSGrid]:

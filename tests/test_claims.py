@@ -198,7 +198,6 @@ CLAIM_WORK_CEILINGS = {
 @pytest.mark.parametrize("claim_id", sorted(CLAIM_WORK_CEILINGS))
 def test_claim_work_stays_under_its_ceiling(claim_id, count_work):
     generators.make_block.cache_clear()
-    generators._REALIZE_CACHE.clear()
     used = count_work(_claim(claim_id), ClaimConfig())
     ceiling = CLAIM_WORK_CEILINGS[claim_id]
     over = {name: (n, ceiling.get(name, 0)) for name, n in used.items() if n > ceiling.get(name, 0)}

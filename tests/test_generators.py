@@ -235,7 +235,15 @@ class TestGeneratorIds:
         assert isinstance(gid, GeneratorId)
         g = realize_generator(gid)
         assert verify_qls(g).ok
-        assert realize_generator(gid.canonical()) is g  # realization is cached
+        again = realize_generator(gid.canonical())  # only a name a plan can hold is kept
+        assert (again is g) if gid.canonical() in generators._KEPT else (again == g and again is not g)
+
+    @pytest.mark.parametrize("text,parses", [("W(5,6)", []), ("Wk(1/1)", ["Wk(1/1)"]), (" W0 ", [" W0 "])])
+    def test_a_kept_block_is_parsed_only_on_a_miss(self, monkeypatch, text, parses):
+        # a hit on the canonical text does no parse; another spelling parses once
+        kept, parsed = realize_generator(str(parse_generator_id(text))), []
+        monkeypatch.setattr(generators, "parse_generator_id", lambda t: parsed.append(t) or parse_generator_id(t))
+        assert realize_generator(text) is kept and parsed == parses
 
     @pytest.mark.parametrize(
         "text",
@@ -274,20 +282,15 @@ class TestGeneratorIds:
 
 class TestCacheBounds:
     def test_every_cache_stays_at_or_under_its_cap(self):
-        saved = dict(generators._REALIZE_CACHE)
-        try:
-            decompose_cap = algebraic._decompose.cache_info().maxsize
-            for n in range(2, decompose_cap + 100):
-                squarefree_decompose(n)
-            assert algebraic._decompose.cache_info().currsize <= decompose_cap
-            block_cap = make_block.cache_info().maxsize
-            for k in range(1, block_cap + 50):
-                make_block("A", F(1, k))
-            assert make_block.cache_info().currsize <= block_cap
-            realize_cap = generators._REALIZE_CACHE_MAX
-            for k in range(1, realize_cap + 50):
-                realize_generator(f"A({k}/{k + 1})")
-                assert len(generators._REALIZE_CACHE) <= realize_cap
-        finally:
-            generators._REALIZE_CACHE.clear()
-            generators._REALIZE_CACHE.update(saved)
+        decompose_cap = algebraic._decompose.cache_info().maxsize
+        for n in range(2, decompose_cap + 100):
+            squarefree_decompose(n)
+        assert algebraic._decompose.cache_info().currsize <= decompose_cap
+        block_cap = make_block.cache_info().maxsize
+        for k in range(1, block_cap + 50):
+            make_block("A", F(1, k))
+        assert make_block.cache_info().currsize <= block_cap
+        # the realize table keeps only names a plan can hold
+        for gid in [f"A({k}/{k + 1})" for k in range(1, 151)] + [f"W(1/2,{k})" for k in range(1, 151)]:
+            realize_generator(gid)
+        assert set(generators._REALIZE_CACHE) <= generators._KEPT

