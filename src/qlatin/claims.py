@@ -124,6 +124,9 @@ class ClaimConfig:
             raise ValueError(f"witness bound must be an integer >= 1, got {b!r}")
         if b > MAX_WITNESS_BOUND:
             raise ValueError(f"witness bound must be at most {MAX_WITNESS_BOUND}, got {b}")
+        # and a sweep over no m would pass as vacuously
+        if not self.sweep_m:
+            raise ValueError("sweep_m must name at least one m")
         for m in self.sweep_m:
             _check_m(m, 2)
 

@@ -20,12 +20,15 @@ tables are locals of one call, so they never outgrow its grid.
 
 A batch of grids that share cell objects, as `synthesis.execute_plans`
 builds them, is verified and counted through one private table set
-(`_GridWork`), a local of the batch: each distinct line's verdict (its least
-failing pair, or none) keyed on the tuple of its cells' ids, each cell's
-unit test and canonical form keyed on its id, each distinct row's classes,
-and the sign and negation of each distinct coefficient. A line met again in
-a later grid is then one lookup. The reports are those `verify_qls` and
-`cardinality` give, and a lone grid takes their path, with no id table.
+(`_GridWork`), a local of the batch: each cell that passed its unit test,
+with its canonical form, keyed on its id; each distinct line's verdict (its
+least failing pair, or none) keyed on the tuple of its cells' ids; each
+distinct row's classes under the same key object as its verdict; and the
+sign and negation of each distinct coefficient. The cell table holds every
+cell a key names, so no id is reused while the tables live, whatever the
+caller keeps. A line met again in a later grid is then one lookup. The
+reports are those `verify_qls` and `cardinality` give, and a lone grid takes
+their path, with no id table.
 
 Grid JSON costs time and memory in proportion to a grid's nonzero
 coordinates, not its n^3 coordinates, and its bytes are those of
@@ -244,75 +247,71 @@ def _count(g: QLSGrid, verify, classes) -> CardinalityReport:
 
 
 class _GridWork(object):
-    """verify and count for a batch of grids, sharing their work. A line is
-    keyed on the tuple of its cells' ids, and a cell on its id:
+    """verify and count for a batch of grids, sharing their work. A cell is
+    keyed on its id and a line on the tuple of its cells' ids, and the
+    tables hold every cell they key on, so no id names another object while
+    they live:
 
+    - `cells`: each cell that passed its unit test, with its canonical form;
+      every cell in a line key below is here;
     - `lines`: each distinct line's verdict, its least failing pair or ();
-    - `row_classes`: each distinct row's canonical forms;
-    - `units`, `canon`: each cell's unit test and canonical form;
+    - `row_classes`: each passing row's canonical forms, keyed on the same
+      object as the row's verdict: `verify` makes one key per row of a grid;
     - `forms`: one object for each distinct canonical form;
     - `sign`, `neg`: each distinct coefficient's sign and negation.
 
-    A row met again in a later grid costs one lookup per table. An id names
-    one object only while that object lives, so the maker of the tables must
-    hold every cell it checks until the tables go: a batch of synthesized
-    grids holds its shifted blocks until it ends (`synthesis.execute_plans`).
-    The tables are locals of that batch."""
+    A row met again costs a lookup per cell and one per line table. The
+    tables are locals of one batch."""
 
-    __slots__ = ("lines", "row_classes", "units", "canon", "forms", "sign", "neg")
+    __slots__ = ("cells", "lines", "row_classes", "forms", "sign", "neg")
 
     def __init__(self) -> None:
+        self.cells: dict[int, tuple[QVector, QVector]] = {}
         self.lines: dict[tuple[int, ...], tuple[int, int] | tuple[()]] = {}
         self.row_classes: dict[tuple[int, ...], frozenset[QVector]] = {}
-        self.units: dict[int, bool] = {}
-        self.canon: dict[int, QVector] = {}
         self.forms: dict[tuple, QVector] = {}
         self.sign = _Table(RadExt.sign).__getitem__
         self.neg = _Table(RadExt.__neg__).__getitem__
 
+    def _form(self, v: QVector) -> QVector | None:
+        """v's canonical form once v passes its unit test, else None."""
+        got = self.cells.get(id(v))
+        if got is None:
+            if inner_product(v, v) is not ONE:
+                return None
+            # equal forms are one object, so merging rows compares none
+            f = _canonical(v, self.sign, self.neg)
+            got = self.cells[id(v)] = (v, self.forms.setdefault((f.dim, f.support, f.coefs), f))
+        return got[1]
+
+    def _units(self, rows: Sequence[Sequence[QVector]]) -> VerificationReport | None:
+        held, form = self.cells.__contains__, self._form
+        for r, row in enumerate(rows):
+            if all(map(held, map(id, row))):
+                continue
+            for c, v in enumerate(row):
+                if form(v) is None:
+                    return _unit_failure(r, c)
+        return None
+
     def _lines(self, kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
-        verdicts = self.lines
+        verdicts, classes, form = self.lines, self.row_classes, self._form
         for index, cells in enumerate(lines):
             key = tuple(map(id, cells))
             bad = verdicts.get(key)
             if bad is None:
                 bad = verdicts[key] = _least_bad_pair(cells)
+                if kind == "row" and not bad:
+                    classes[key] = frozenset(map(form, cells))
             if bad:
                 return _line_failure(kind, index, bad)
         return None
 
-    def _units(self, rows: Sequence[Sequence[QVector]]) -> VerificationReport | None:
-        units, lines = self.units, self.lines
-        for r, row in enumerate(rows):
-            # a line with a verdict is in a grid whose cells all passed
-            if tuple(map(id, row)) in lines:
-                continue
-            for c, v in enumerate(row):
-                ok = units.get(id(v))
-                if ok is None:
-                    ok = units[id(v)] = inner_product(v, v) is ONE
-                if not ok:
-                    return _unit_failure(r, c)
-        return None
-
-    def _form(self, v: QVector) -> QVector:
-        form = self.canon.get(id(v))
-        if form is None:
-            # equal forms are one object, so merging rows compares none
-            f = _canonical(v, self.sign, self.neg)
-            form = self.canon[id(v)] = self.forms.setdefault((f.dim, f.support, f.coefs), f)
-        return form
-
     def _classes(self, g: QLSGrid) -> frozenset[QVector]:
+        # a row first met as a column, or verified elsewhere, has no entry
         known, form = self.row_classes, self._form
-        forms = []
-        for row in g.cells:
-            key = tuple(map(id, row))
-            got = known.get(key)
-            if got is None:
-                got = known[key] = frozenset(map(form, row))
-            forms.append(got)
-        return frozenset().union(*forms)
+        rows = [known.get(tuple(map(id, row))) or frozenset(map(form, row)) for row in g.cells]
+        return frozenset().union(*rows)
 
     def verify(self, g: QLSGrid) -> VerificationReport:
         """verify_qls(g), through the tables."""

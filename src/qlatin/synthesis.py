@@ -365,9 +365,7 @@ def execute_plans(plans: Iterable[SynthPlan]) -> Iterator[QLSGrid]:
     with the same checks, errors and order. The plans share their work:
     each (name, m, diagonal) shift is built once, so the grids share cell
     objects, and one table set holds each distinct line's verdict and each
-    cell's unit test and canonical form."""
-    # `shifted` holds every cell of the batch until the batch ends, so no
-    # cell id that `work` keys on is reused while `work` lives
+    passing cell's canonical form."""
     shifted, work = {}, _GridWork()
     for plan in plans:
         yield _checked(plan, _assemble(plan, shifted), work.verify, work.count)

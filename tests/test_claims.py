@@ -64,6 +64,12 @@ def test_reduced_config_still_passes():
     assert all(r.status == "pass" for r in results)
 
 
+def test_a_sweep_over_no_m_is_refused():
+    # it would pass synthesis/full-sweep with 0 grids built
+    with pytest.raises(ValueError, match="^sweep_m must name at least one m$"):
+        ClaimConfig(sweep_m=())
+
+
 # Fail details, which the golden digest (passing output only) cannot see.
 # Each claim is forced to fail by adding a made-up class to the sets it
 # compares; the detail must name what went wrong exactly as before.

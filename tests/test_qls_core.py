@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin import qls_core
+from qlatin import qls_core, synthesis
 from qlatin.algebraic import RadExt, sqrt_rational
 from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
@@ -226,9 +226,13 @@ def test_work_stays_under_its_ceiling(target, count_work):
 BATCH_WORK_CEILING = {"inner_product": 5400, "sign": 85, "neg": 91, "eq": 0}
 
 
+def _sweep_plans(m):
+    rng = valid_cardinalities(m)
+    return [plan_for(m, c) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded]
+
+
 def test_batch_work_stays_under_its_ceiling(count_work):
-    rng = valid_cardinalities(3)
-    plans = [plan_for(3, c) for c in range(rng.lo, rng.hi + 1) if c != rng.excluded]
+    plans = _sweep_plans(3)
     assert len(list(execute_plans(plans))) == 132
     used = count_work(lambda: list(execute_plans(plans)))
     over = {
@@ -237,6 +241,37 @@ def test_batch_work_stays_under_its_ceiling(count_work):
         if n > BATCH_WORK_CEILING.get(name, 0)
     }
     assert not over, f"(work, ceiling) above the ceiling: {over}"
+
+
+def test_batch_keys_each_row_once(monkeypatch):
+    # a row's classes are stored under the very key object of its verdict
+    made = []
+    monkeypatch.setattr(synthesis, "_GridWork", lambda: made.append(qls_core._GridWork()) or made[-1])
+    assert len(list(execute_plans(_sweep_plans(3)))) == 132
+    (work,) = made
+    verdict_keys = {id(key) for key in work.lines}
+    assert work.row_classes and all(id(key) in verdict_keys for key in work.row_classes)
+
+
+def test_batch_owns_the_ids_it_keys_on():
+    # each good grid is dropped once verified, so the next parse may reuse
+    # its cells' addresses; the batch holds every cell it keys on, so a
+    # reused id never finds another cell's unit test or line verdict
+    text = grid_to_json(synth(2, 40)[1])
+    work = qls_core._GridWork()
+    for trial in range(200):
+        assert work.verify(grid_from_json(text)).ok
+        cells = [list(row) for row in grid_from_json(text).cells]
+        r, c = divmod(trial % 64, 8)
+        cells[r][c] = vec_scale(cells[r][c], 2)
+        assert work.verify(QLSGrid(cells)) == verify_qls(QLSGrid(cells))
+
+
+def test_batch_counts_a_grid_it_did_not_verify():
+    g = synth(3, 100)[1]
+    copy = QLSGrid(g.cells)
+    assert verify_qls(copy).ok
+    assert qls_core._GridWork().count(copy) == cardinality(g)
 
 
 class TestSerialization:
