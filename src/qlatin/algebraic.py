@@ -15,6 +15,11 @@ set looks a value up.  Scalars compared with a value are converted to a value
 first.  The sign of a nonzero value
 is decided by bounding each root with an integer square root at a binary
 precision, doubling the precision until the bounds exclude zero.
+
+A value also keeps its negation, square and sign, each computed once, on
+its first read through `_neg_of`, `_square_of` or `_sign_of`; `__neg__`,
+`__mul__` and `sign` stay uncached.  A negation keeps no link back, so one
+read makes no reference cycle; the collector frees the cycle two make.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ class RadExt(object):
     `num` must never be mutated after construction.
     """
 
-    __slots__ = ("den", "num", "__weakref__")
+    __slots__ = ("den", "num", "_neg", "_square", "_sign", "__weakref__")
 
     def __new__(cls, terms: Mapping[int, Scalar] = ()) -> "RadExt":
         parts = []
@@ -151,6 +156,7 @@ class RadExt(object):
             self = object.__new__(cls)
             self.den = den
             self.num = num
+            self._neg = self._square = self._sign = None
             _LIVE[key] = self
         return self
 
@@ -361,6 +367,27 @@ class _Terms(Mapping):
 #: Every live RadExt, keyed on its lowest-terms (den, *sorted(num.items()));
 #: held weakly, so a value no longer referenced leaves the table.
 _LIVE: "weakref.WeakValueDictionary[tuple, RadExt]" = weakref.WeakValueDictionary()
+
+
+def _neg_of(e: RadExt) -> RadExt:
+    """-e, computed on the first read and stored on e."""
+    if e._neg is None:
+        e._neg = -e
+    return e._neg
+
+
+def _square_of(e: RadExt) -> RadExt:
+    """e * e, computed on the first read and stored on e."""
+    if e._square is None:
+        e._square = e * e
+    return e._square
+
+
+def _sign_of(e: RadExt) -> int:
+    """e.sign(), computed on the first read and stored on e."""
+    if e._sign is None:
+        e._sign = e.sign()
+    return e._sign
 
 
 def _coerce(x: "RadExt | Scalar") -> RadExt:

@@ -124,11 +124,14 @@ class ClaimConfig:
             raise ValueError(f"witness bound must be an integer >= 1, got {b!r}")
         if b > MAX_WITNESS_BOUND:
             raise ValueError(f"witness bound must be at most {MAX_WITNESS_BOUND}, got {b}")
-        # and a sweep over no m would pass as vacuously
+        # and a sweep over no m would pass as vacuously; one that names an m
+        # twice would sweep it, and count its grids, twice
         if not self.sweep_m:
             raise ValueError("sweep_m must name at least one m")
-        for m in self.sweep_m:
+        for i, m in enumerate(self.sweep_m):
             _check_m(m, 2)
+            if m in self.sweep_m[:i]:
+                raise ValueError(f"sweep_m names m = {m} twice")
 
 
 @dataclass(frozen=True)

@@ -140,8 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--m", type=int, action="append",
-        help="order parameter of the synthesis/full-sweep claim; repeatable "
-        "(default 3: the qls8/full-range claim always sweeps m = 2)",
+        help="order parameter of the synthesis/full-sweep claim; repeatable, "
+        "each m once (default 3: the qls8/full-range claim always sweeps m = 2)",
     )
     p.add_argument("--format", choices=("json", "pretty"), default="pretty")
     p.set_defaults(func=_cmd_claims)

@@ -11,24 +11,21 @@ the least failing (p, q), the one a scan of all pairs finds first. A row
 rectangle passes when its cells are units and each row is orthogonal; its
 columns are not checked, so repeated rows pass. Cardinality is the size of
 the set of phase-equivalence classes of the cells, each class held as its
-canonical form (`canonical_set`), which decides the sign of each distinct
-leading coefficient and negates each distinct coefficient once per call; an
-independent oracle recounts them by exact inner products, bucketed on each
-cell's support and squared coefficients, without the canonical form, and
-squares each distinct coefficient and inner product once per call. Those
-tables are locals of one call, so they never outgrow its grid.
+canonical form (`canonical_set`); an independent oracle recounts them by
+exact inner products, bucketed on each cell's support and squared
+coefficients, without the canonical form. Each sign, negation and square is
+the one stored on its value, so a recount computes none of them again.
 
 A batch of grids that share cell objects, as `synthesis.execute_plans`
 builds them, is verified and counted through one private table set
 (`_GridWork`), a local of the batch: each cell that passed its unit test,
 with its canonical form, keyed on its id; each distinct line's verdict (its
 least failing pair, or none) keyed on the tuple of its cells' ids; each
-distinct row's classes under the same key object as its verdict; and the
-sign and negation of each distinct coefficient. The cell table holds every
-cell a key names, so no id is reused while the tables live, whatever the
-caller keeps. A line met again in a later grid is then one lookup. The
-reports are those `verify_qls` and `cardinality` give, and a lone grid takes
-their path, with no id table.
+distinct row's classes under the same key object as its verdict. The cell
+table holds every cell a key names, so no id is reused while the tables
+live, whatever the caller keeps. A line met again in a later grid is then
+one lookup. The reports are those `verify_qls` and `cardinality` give,
+and a lone grid takes their path, with no id table.
 
 Grid JSON costs time and memory in proportion to a grid's nonzero
 coordinates, not its n^3 coordinates, and its bytes are those of
@@ -57,7 +54,7 @@ writer zips the two, both readers fill them directly, and the oracle's
 bucket key is `support` with the squared `coefs`. A unit check is an
 equal-support memo lookup on `(v.coefs, v.coefs)`. Equal coefficients are
 one object however they were built or read (`RadExt` is hash-consed), so
-the inner-product memo and the per-call tables find them by address and
+the inner-product memo and the batch tables find them by address and
 identity, and a cell is a unit vector when its square norm `is ONE`; the
 streamed reader's text-keyed cache only saves decoding a coordinate text
 twice.
@@ -69,12 +66,12 @@ import gc
 import json
 from contextlib import contextmanager
 from itertools import chain, combinations
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .algebraic import ONE, RadExt
+from .algebraic import ONE, RadExt, _square_of
 from .vectors import (
     QVector,
-    _canonical,
+    canonicalize,
     inner_product,
     vector_from_json_dict,
     vector_to_json_dict,
@@ -160,21 +157,6 @@ class RowQLR(object):
         return f"RowQLR({self.rows}x{self.cols})"
 
 
-class _Table(dict):
-    """f(e) for each distinct value e, computed on its first lookup.
-    A table is a local of one call or one batch, so it never outgrows that
-    input."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: Callable[[RadExt], object]):
-        self.f = f
-
-    def __missing__(self, e: RadExt):
-        x = self[e] = self.f(e)
-        return x
-
-
 def _least_bad_pair(cells: Sequence[QVector]) -> tuple[int, int] | tuple[()]:
     """The least (p, q) whose cells in the line are not orthogonal, or ()."""
     # positions holding each coordinate, ascending
@@ -257,21 +239,18 @@ class _GridWork(object):
     - `lines`: each distinct line's verdict, its least failing pair or ();
     - `row_classes`: each passing row's canonical forms, keyed on the same
       object as the row's verdict: `verify` makes one key per row of a grid;
-    - `forms`: one object for each distinct canonical form;
-    - `sign`, `neg`: each distinct coefficient's sign and negation.
+    - `forms`: one object for each distinct canonical form.
 
     A row met again costs a lookup per cell and one per line table. The
     tables are locals of one batch."""
 
-    __slots__ = ("cells", "lines", "row_classes", "forms", "sign", "neg")
+    __slots__ = ("cells", "lines", "row_classes", "forms")
 
     def __init__(self) -> None:
         self.cells: dict[int, tuple[QVector, QVector]] = {}
         self.lines: dict[tuple[int, ...], tuple[int, int] | tuple[()]] = {}
         self.row_classes: dict[tuple[int, ...], frozenset[QVector]] = {}
         self.forms: dict[tuple, QVector] = {}
-        self.sign = _Table(RadExt.sign).__getitem__
-        self.neg = _Table(RadExt.__neg__).__getitem__
 
     def _form(self, v: QVector) -> QVector | None:
         """v's canonical form once v passes its unit test, else None."""
@@ -280,7 +259,7 @@ class _GridWork(object):
             if inner_product(v, v) is not ONE:
                 return None
             # equal forms are one object, so merging rows compares none
-            f = _canonical(v, self.sign, self.neg)
+            f = canonicalize(v)
             got = self.cells[id(v)] = (v, self.forms.setdefault((f.dim, f.support, f.coefs), f))
         return got[1]
 
@@ -356,26 +335,23 @@ def cardinality_oracle(g: QLSGrid) -> int:
     vectors <u,v>^2 = 1 exactly when u = +-v. Since u = +-v forces the same
     support and the same squared coefficients, cells are bucketed on those,
     and each cell is compared only with the first member of every class
-    found so far in its bucket. One table squares each distinct value once,
-    coefficient and inner product alike.
+    found so far in its bucket. Each square, of a coefficient or an inner
+    product, is the one stored on the value.
     """
-    squares = _Table(lambda e: e * e)
     buckets: dict[tuple, list[QVector]] = {}
     for row in g.cells:
         for v in row:
-            key = (v.support, tuple([squares[e] for e in v.coefs]))
+            key = (v.support, tuple([_square_of(e) for e in v.coefs]))
             firsts = buckets.setdefault(key, [])
-            if not any(squares[inner_product(v, w)] is ONE for w in firsts):
+            if not any(_square_of(inner_product(v, w)) is ONE for w in firsts):
                 firsts.append(v)
     return sum(len(firsts) for firsts in buckets.values())
 
 
 def canonical_set(cells: Iterable[QVector]) -> frozenset[QVector]:
     """Canonical representatives of an arbitrary bag of vectors, as
-    canonicalize gives them; each distinct coefficient's sign() and negation
-    is computed once per call."""
-    sign, neg = _Table(RadExt.sign).__getitem__, _Table(RadExt.__neg__).__getitem__
-    return frozenset(_canonical(v, sign, neg) for v in cells)
+    canonicalize gives them."""
+    return frozenset(map(canonicalize, cells))
 
 
 def distinct_elements(g: QLSGrid) -> frozenset[QVector]:

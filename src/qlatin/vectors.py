@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
-from .algebraic import ONE, ZERO, RadExt, _add_product
+from .algebraic import ONE, ZERO, RadExt, _add_product, _neg_of, _sign_of
 
 Coefficient = Union[RadExt, Fraction, int]
 
@@ -211,19 +211,12 @@ def vec_neg(v: QVector) -> QVector:
     return QVector._raw(v.dim, v.support, tuple([-e for e in v.coefs]))
 
 
-def _canonical(
-    v: QVector, sign: Callable[[RadExt], int], neg: Callable[[RadExt], RadExt]
-) -> QVector:
-    """v with its first nonzero coordinate made positive, given how to take
-    a coefficient's sign and its negation."""
-    if v.coefs and sign(v.coefs[0]) < 0:
-        return QVector._raw(v.dim, v.support, tuple(map(neg, v.coefs)))
-    return v
-
-
 def canonicalize(v: QVector) -> QVector:
-    """The phase-class representative: first nonzero coordinate made positive."""
-    return _canonical(v, RadExt.sign, RadExt.__neg__)
+    """The phase-class representative: first nonzero coordinate made positive.
+    The sign and negations are the ones stored on each coefficient."""
+    if v.coefs and _sign_of(v.coefs[0]) < 0:
+        return QVector._raw(v.dim, v.support, tuple(map(_neg_of, v.coefs)))
+    return v
 
 
 def phase_equal(u: QVector, v: QVector) -> bool:

@@ -1,4 +1,5 @@
 import copy
+import gc
 import math
 import pickle
 import random
@@ -353,6 +354,47 @@ class TestRingLaws:
         root = sqrt_rational(q)
         assert root * root == q
         assert root.sign() == 1
+
+
+_positive = st.dictionaries(
+    st.sampled_from([2, 3, 5, 6, 7, 10, 11]),
+    st.fractions(min_value=F(1, 9), max_value=4, max_denominator=9),
+    min_size=1,
+    max_size=3,
+).map(RadExt)
+# a positive minus a positive: terms of both signs, whose sign needs intervals
+_mixed = st.builds(lambda a, b: a - b, _positive, _positive)
+
+
+class TestStoredFacts:
+    """A value keeps its negation, square and sign; each reader gives what
+    the uncached computation gives, by identity."""
+
+    @given(st.one_of(st.sampled_from([ZERO, ONE, -ONE]), _radexts, _mixed))
+    @settings(deadline=None)
+    def test_readers_equal_their_computation(self, e):
+        for _ in range(2):  # the first read computes, the second looks up
+            assert algebraic._neg_of(e) is -e
+            assert algebraic._square_of(e) is e * e
+            assert algebraic._sign_of(e) == e.sign()
+        assert algebraic._neg_of(algebraic._neg_of(e)) is e
+        assert (e._neg, e._square, e._sign) == (-e, e * e, e.sign())
+
+    def test_facts_do_not_keep_values_alive(self):
+        # radicands no other value uses, so every value below is made here
+        made = [RadExt({1_000_003: F(k, 7), 1_000_033: -k}) for k in range(1, 51)]
+        made += [algebraic._neg_of(e) for e in made]
+        made += [algebraic._square_of(e) for e in made]
+        for e in made:
+            # both directions: e and -e then point at each other
+            algebraic._neg_of(algebraic._neg_of(e))
+            algebraic._square_of(e)
+            algebraic._sign_of(e)
+        keys = {(e.den, *sorted(e.num.items())) for e in made}
+        assert len(keys) == 150 and all(key in algebraic._LIVE for key in keys)
+        del made, e
+        gc.collect()
+        assert not any(key in algebraic._LIVE for key in keys)
 
 
 class TestTriples:

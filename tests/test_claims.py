@@ -70,6 +70,12 @@ def test_a_sweep_over_no_m_is_refused():
         ClaimConfig(sweep_m=())
 
 
+def test_a_sweep_that_repeats_an_m_is_refused():
+    # it would sweep m = 3 twice and report 264 verified grids for 132
+    with pytest.raises(ValueError, match="^sweep_m names m = 3 twice$"):
+        ClaimConfig(sweep_m=(3, 2, 3))
+
+
 # Fail details, which the golden digest (passing output only) cannot see.
 # Each claim is forced to fail by adding a made-up class to the sets it
 # compares; the detail must name what went wrong exactly as before.

@@ -389,6 +389,8 @@ class TestRangeAndClaims:
             (("--witness-bound", "0"), "witness bound must be an integer >= 1, got 0"),
             (("--witness-bound", "-3"), "witness bound must be an integer >= 1, got -3"),
             (("--m", "1"), "m must be an integer >= 2, got 1"),
+            # each m once: a repeated m would be swept and counted twice
+            (("--m", "3", "--m", "3"), "sweep_m names m = 3 twice"),
             (("--m", "2", "--m", str(MAX_M + 1)),
              f"m must be at most {MAX_M} (order {4 * MAX_M}), got {MAX_M + 1}"),
             # unbounded work: the witness claims grow as the bound's fourth power

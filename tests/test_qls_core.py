@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlatin import qls_core, synthesis
+from qlatin import qls_core, synthesis, vectors
 from qlatin.algebraic import RadExt, sqrt_rational
 from qlatin.generators import make_H, make_V, make_W, realize_generator
 from qlatin.qls_core import (
@@ -216,6 +216,20 @@ def test_work_stays_under_its_ceiling(target, count_work):
         if n > WORK_CEILINGS[target][call].get(name, 0)
     }
     assert not over, f"(work, ceiling) above the ceiling: {over}"
+
+
+def test_a_recount_computes_no_sign_negation_or_square(count_work):
+    # each is stored on its value, so a fresh copy of a counted grid is
+    # counted, by canonical form and by the oracle, with none of them; the
+    # memo is emptied first so that it cannot clear itself, and drop the
+    # oracle's inner products, between the two counts
+    vectors._PRODUCT_MEMO.clear()
+    g = synth(4, 200)[1]
+    assert cardinality(g).cardinality == cardinality_oracle(g) == 200
+    copy = QLSGrid(g.cells)
+    for run in (cardinality, cardinality_oracle):
+        used = count_work(run, copy)
+        assert not {name: used[name] for name in ("sign", "neg", "mul") if name in used}, run
 
 
 # Work of one batch, execute_plans over the 132 targets of order 12, counted
