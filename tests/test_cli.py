@@ -389,12 +389,12 @@ class TestRangeAndClaims:
             (("--witness-bound", "0"), "witness bound must be an integer >= 1, got 0"),
             (("--witness-bound", "-3"), "witness bound must be an integer >= 1, got -3"),
             (("--m", "1"), "m must be an integer >= 2, got 1"),
-            # each m once: a repeated m would be swept and counted twice
-            (("--m", "3", "--m", "3"), "sweep_m names m = 3 twice"),
             (("--m", "2", "--m", str(MAX_M + 1)),
              f"m must be at most {MAX_M} (order {4 * MAX_M}), got {MAX_M + 1}"),
             # unbounded work: the witness claims grow as the bound's fourth power
             (("--witness-bound", "100000"), f"witness bound must be at most {claims.MAX_WITNESS_BOUND}, got 100000"),
+            # each m once: a repeated m would be swept and counted twice
+            (("--m", "3", "--m", "3"), "sweep_m names m = 3 twice"),
         ],
     )
     def test_claims_rejects_senseless_arguments(self, capsys, argv, err):
