@@ -16,7 +16,7 @@ _HOMES = {
     "algebraic": ("RadExt", "Scalar", "sqrt_rational", "squarefree_decompose"),
     "vectors": (
         "QVector", "basis_vector", "canonicalize", "format_vector", "inner_product", "ket",
-        "phase_equal", "phase_equal_by_inner", "tensor", "vec_add", "vec_neg", "vec_scale",
+        "phase_equal", "phase_equal_by_inner", "tensor", "vec_add", "vec_scale",
     ),
     "qls_core": (
         "CardinalityReport", "QLSGrid", "RowQLR", "VerificationReport", "canonical_set",

@@ -177,11 +177,6 @@ class RadExt(object):
         return cls._raw(r, {1: n} if n else {})
 
     @property
-    def terms(self) -> "Mapping[int, Fraction]":
-        """The value as a read-only {radicand: rational coefficient} view."""
-        return _Terms(self)
-
-    @property
     def is_zero(self) -> bool:
         return not self.num
 
@@ -253,10 +248,6 @@ class RadExt(object):
         """-1, 0 or +1.  Zero is symbolic; nonzero is decided by exact intervals."""
         if not self.num:
             return 0
-        signs = {1 if n > 0 else -1 for n in self.num.values()}
-        if len(signs) == 1:
-            # every term n*sqrt(d) has the sign of n
-            return signs.pop()
         prec = _SIGN_START_BITS
         while True:
             # integer bounds on den * 2**prec times the value; both factors
@@ -327,7 +318,8 @@ class RadExt(object):
         if not self.num:
             return "0"
         parts = []
-        for d, q in sorted(self.terms.items()):
+        for d, n in sorted(self.num.items()):
+            q = Fraction(n, self.den)
             if d == 1:
                 parts.append(str(q))
             elif q == 1:
@@ -340,28 +332,6 @@ class RadExt(object):
         for p in parts[1:]:
             out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
         return out
-
-
-class _Terms(Mapping):
-    """{radicand: Fraction} over a RadExt's fields; a coefficient is made only
-    when read, so a length or truth test costs no Fraction."""
-
-    __slots__ = ("_x",)
-
-    def __init__(self, x: RadExt):
-        self._x = x
-
-    def __getitem__(self, d: int) -> Fraction:
-        return Fraction(self._x.num[d], self._x.den)
-
-    def __iter__(self):
-        return iter(self._x.num)
-
-    def __len__(self) -> int:
-        return len(self._x.num)
-
-    def __repr__(self) -> str:
-        return repr(dict(self.items()))
 
 
 #: Every live RadExt, keyed on its lowest-terms (den, *sorted(num.items()));

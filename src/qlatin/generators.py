@@ -384,10 +384,11 @@ _REALIZE_CACHE: dict[str, QLSGrid] = {}
 def realize_generator(gid: GeneratorId | str) -> QLSGrid:
     """The grid a generator name denotes. A name a plan can hold is built
     once per process and shared, with its verify and count caches; a hit on
-    its canonical text does no parse. Any other id is built on each call."""
+    its canonical text does no parse. Any other id is built on each call.
+    A GeneratorId is read through its text, so it is checked as a name is."""
     got = _REALIZE_CACHE.get(gid)
     if got is None:
-        gid = parse_generator_id(gid) if isinstance(gid, str) else gid
+        gid = parse_generator_id(str(gid))
         key = gid.canonical()
         got = _REALIZE_CACHE.get(key)
         if got is None:

@@ -140,8 +140,6 @@ def inner_product(u: QVector, v: QVector) -> RadExt:
     if a == b:
         key = (u.coefs, v.coefs)
     else:
-        if not a or not b or a[-1] < b[0] or b[-1] < a[0]:
-            return ZERO
         # the coefficients at shared indices, matched position by position
         ka: list[RadExt] = []
         kb: list[RadExt] = []
@@ -205,10 +203,6 @@ def vec_scale(v: QVector, s: Coefficient) -> QVector:
     if not s.num:
         return QVector._raw(v.dim, (), ())
     return QVector._raw(v.dim, v.support, tuple([s * e for e in v.coefs]))
-
-
-def vec_neg(v: QVector) -> QVector:
-    return QVector._raw(v.dim, v.support, tuple([-e for e in v.coefs]))
 
 
 def canonicalize(v: QVector) -> QVector:

@@ -2,8 +2,9 @@
 
 A value here is a dict {squarefree radicand d: nonzero Fraction q} denoting
 sum(q * sqrt(d)): the representation `qlatin.algebraic` used before it moved
-to one integer denominator per value.  RadExt's `terms` view reads a value in
-this form, so the integer code can be checked against it term by term.
+to one integer denominator per value.  `terms` reads a RadExt's `den` and
+`num` in this form, so the integer code can be checked against it term by
+term.
 """
 
 from __future__ import annotations
@@ -13,6 +14,11 @@ from fractions import Fraction
 from typing import Mapping
 
 SIGN_START_BITS = 64
+
+
+def terms(x) -> dict[int, Fraction]:
+    """A RadExt as {radicand: Fraction}, the form this module computes on."""
+    return {d: Fraction(n, x.den) for d, n in x.num.items()}
 
 
 def _mul_into(

@@ -40,7 +40,7 @@ from qlatin.synthesis import (
     synth,
     valid_cardinalities,
 )
-from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, vec_neg, vec_scale
+from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, vec_scale
 
 SWEEP_M = (2, 3, 4, 5, 6, 7, 8)
 # criterion 8 recounts every swept grid up to this order with the oracle;
@@ -190,7 +190,7 @@ def test_bucketed_oracle_matches_pairwise_reference():
     u, w = QVector([h, h]), QVector([h, -h])
     shared_bucket = [
         QLSGrid([[u, w], [w, u]]),
-        QLSGrid([[u, w], [vec_neg(w), vec_neg(u)]]),
+        QLSGrid([[u, w], [vec_scale(w, -1), vec_scale(u, -1)]]),
     ]
     synthesized = [synth(m, c)[1] for m, c in ((2, 8), (2, 29), (2, 57), (2, 64), (3, 12), (3, 70), (3, 105))]
     blocks = [realize_generator(gid) for gid in GENERATOR_IDS]
@@ -227,7 +227,7 @@ def _copy(v):
 def test_bucketed_oracle_matches_pairwise_reference_on_random_grids(picks):
     # each cell is a shared pool vector, its negation, or an equal copy, so
     # classes repeat across cells under all three disguises
-    cells = [(_UNITS[k], vec_neg(_UNITS[k]), _copy(_UNITS[k]))[how] for k, how in picks]
+    cells = [(_UNITS[k], vec_scale(_UNITS[k], -1), _copy(_UNITS[k]))[how] for k, how in picks]
     g = QLSGrid([cells[r * 4:r * 4 + 4] for r in range(4)])
     assert cardinality_oracle(g) == _pairwise_oracle(g) == len(canonical_set(cells))
 
@@ -236,7 +236,7 @@ def test_bucketed_oracle_matches_pairwise_reference_on_random_grids(picks):
 @settings(deadline=None)
 def test_verification_matches_full_pair_reference_on_random_grids(picks):
     # random cells mostly fail, with several failing pairs per line
-    cells = [vec_neg(_UNITS[k]) if neg else _UNITS[k] for k, neg in picks]
+    cells = [vec_scale(_UNITS[k], -1) if neg else _UNITS[k] for k, neg in picks]
     g = QLSGrid([cells[r * 4:r * 4 + 4] for r in range(4)])
     assert verify_qls(g) == _reference_verify_qls(g)
     rect = RowQLR(g.cells)

@@ -145,7 +145,7 @@ class TestSquarefreeDecompose:
                 text = grid_to_json(grid)
             except ValueError as exc:
                 with pytest.raises(ValueError) as read:
-                    RadExt.from_triples(ref.to_triples(x.terms))
+                    RadExt.from_triples(ref.to_triples(ref.terms(x)))
                 assert str(read.value) == str(exc)
             else:
                 assert grid_from_json(text).cells == grid.cells
@@ -170,9 +170,9 @@ class TestRadExtBasics:
         assert RadExt({2: 0}).is_zero
 
     def test_rational_predicates(self):
-        assert ZERO.is_zero and ZERO.terms == {}
-        assert ONE.terms == {1: 1}
-        assert sqrt_rational(2).terms == {2: 1}
+        assert ZERO.is_zero and ref.terms(ZERO) == {}
+        assert ref.terms(ONE) == {1: 1}
+        assert ref.terms(sqrt_rational(2)) == {2: 1}
 
     def test_gcd_trick_products(self):
         assert sqrt_rational(2) * sqrt_rational(3) == sqrt_rational(6)
@@ -292,7 +292,7 @@ class TestSign:
                 approx = sum(
                     (
                         Decimal(q.numerator) / Decimal(q.denominator) * Decimal(d).sqrt()
-                        for d, q in x.terms.items()
+                        for d, q in ref.terms(x).items()
                     ),
                     Decimal(0),
                 )
@@ -460,7 +460,7 @@ class TestAgainstFractionReference:
     @settings(deadline=None)
     def test_ring_operations(self, ta, tb):
         a, b = RadExt(ta), RadExt(tb)
-        assert a.terms == ta and b.terms == tb
+        assert ref.terms(a) == ta and ref.terms(b) == tb
         for got, want in (
             (a + b, ref.add(ta, tb)),
             (a - b, ref.add(ta, ref.neg(tb))),
@@ -468,7 +468,7 @@ class TestAgainstFractionReference:
             (a * b, ref.mul(ta, tb)),
         ):
             _assert_reduced(got)
-            assert got.terms == want and got is RadExt(want)
+            assert ref.terms(got) == want and got is RadExt(want)
             assert got.sign() == ref.sign(want)
 
     @given(_ref_terms, _ref_terms)
@@ -485,7 +485,7 @@ class TestAgainstFractionReference:
         parsed = RadExt.from_triples(ref.to_triples(ta))
         _assert_reduced(parsed)
         assert parsed is a
-        assert parsed.terms == ta
+        assert ref.terms(parsed) == ta
 
     @given(_ref_terms, _ref_terms, _ref_terms)
     @settings(deadline=None)

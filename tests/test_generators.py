@@ -253,6 +253,20 @@ class TestGeneratorIds:
         with pytest.raises(ValueError):
             parse_generator_id(text)
 
+    @pytest.mark.parametrize(
+        "gid",
+        [GeneratorId("H", (F(3, 2),)), GeneratorId("Wk", (F(5, 2),)), GeneratorId("H", ()), GeneratorId("Q", ())],
+        ids=str,
+    )
+    def test_a_hand_built_id_is_checked_as_its_name_is(self, gid):
+        # read through its text, not trusted: H(3/2) must not give H(1), nor
+        # Wk(5/2) Wk(2), and a wrong arity or tag is parse's ValueError
+        with pytest.raises(ValueError):
+            realize_generator(gid)
+
+    def test_a_valid_hand_built_id_returns_the_kept_block(self):
+        assert realize_generator(GeneratorId("H", (F(3),))) is realize_generator("H(3)")
+
     @pytest.mark.parametrize("fam", ["A", "B", "C", "D"])
     @pytest.mark.parametrize("a", [F(0), F(2), F(-1, 2), F(4, 3)])
     def test_block_ids_share_the_rotation_formula(self, fam, a):

@@ -1,8 +1,9 @@
 """Golden outputs: the sha256 of stdout from in-process `qlatin synth`, `gen`
-and `claims --format json`, of every plan `synth` would write for m = 2..6,
-and of every attainable range for m = 2..8. Outputs must stay byte for byte
-the same across performance and refactoring changes; a digest here changes
-only with a deliberate change of output, recorded in CHANGES.md.
+and `claims`, in JSON and in the pretty format, of every plan `synth` would
+write for m = 2..6, and of every attainable range for m = 2..8. Outputs must
+stay byte for byte the same across performance and refactoring changes; a
+digest here changes only with a deliberate change of output, recorded in
+CHANGES.md.
 
 To print the digests of the current code:
     PYTHONPATH=src python tests/test_golden.py
@@ -43,6 +44,12 @@ def _cases():
     for gid in GENERATOR_IDS:
         yield ("gen", gid)
     yield ("claims", "--format", "json")
+    # the pretty format, which renders each value with RadExt.__repr__
+    for gid in GENERATOR_IDS:
+        yield ("gen", gid, "--format", "pretty")
+    for m, c in ((2, 57), (3, 105)):
+        yield ("synth", "--m", str(m), "--c", str(c), "--format", "pretty")
+    yield ("claims",)
 
 
 GOLDEN = {
@@ -81,6 +88,34 @@ GOLDEN = {
     "gen C(1)": "4119d86c17752d36e79dd23d310a7d6569982c977c8701e5eb60656efd0ce58a",
     "gen D(4)": "2220ec6df7960fb80f512e5b379c8d6375b81ecc5bbc9f4b33c9f959fb393123",
     "claims --format json": "b5859d9ef6472185cde004ed0ec082a6f7c8ab7b1290c189ed2b02f9a3d63761",
+    "gen H(0) --format pretty": "77b573f1ad119a6769b674b99c384aea7722402d7917077e57aa1f815001aa60",
+    "gen H(1) --format pretty": "30a89cefca39022c04cecde96f831ad0572461b20c5bc84a1f22bf1a86694344",
+    "gen H(2) --format pretty": "8e33931e4f294bf5370192e3ffeb0817b23bc1d9392b3ae127508c5059b5de73",
+    "gen H(3) --format pretty": "b62d9bf8621c3f514fdb464895640fc6cad842b8413facf45dcc367bb3c9aabb",
+    "gen H(4) --format pretty": "cd9bc55e23a934e3b2f6ad39017dddfbc71affc7de07384bc6acd9bd4fdfc8fe",
+    "gen H(5) --format pretty": "9adbd8809a8890357861de5f330f17bf4e6034d588389c22bc69375415d79553",
+    "gen H(6) --format pretty": "5c7407b86d97234ceb4b6d264a549414914d0f16bfce0f85c04d4808faf8704c",
+    "gen H(7) --format pretty": "b7f0a7b91938bcf3e253db07b253adde52fe75ef7ba9b8e23bfcd2b44ee80c5f",
+    "gen H(8) --format pretty": "379dad257f0a43564d60793bee62dfe9119612f7f4bdef13ea7f9a49ebb00e49",
+    "gen Hprime(2) --format pretty": "e144c026d4eadb8d29291e78fb50d699edb929ba2b40c89183b01a1e5a3ba7c0",
+    "gen Hprime(4) --format pretty": "292640571212cf9315b1d35a9721a64d8b0976a7551ff17d3ba0c91b64fee78a",
+    "gen Hprime(6) --format pretty": "f00833d955f26a68d2cdbac46337be79f3f5de4d54ae8eee80268d59d3ea8c14",
+    "gen Hprime(8) --format pretty": "027eeb63205299345113a90f37ac17fb09e8907ecb952dd2b383449b7cf60bad",
+    "gen W0 --format pretty": "8f80e26990b9253ac3c239ea8f66f98076cd9198994881edba6a85fd02d37e64",
+    "gen Wk(1) --format pretty": "8df31f29bba440d7420bd1d17d23996fd425919ba3a38150616a824f576e97fb",
+    "gen Wk(2) --format pretty": "8c1ac8bcec09b7dedefeb76e3c7f72bca6b483f446b783997ea08934f1e4b050",
+    "gen Wk(3) --format pretty": "4a0c9698c88d776677e9a0ef98bc95d18c487b483c3b66bd49ddfdcb76e1a938",
+    "gen Wk(4) --format pretty": "def1bdf9d6bb4ee185b15f890eaf7a6248744684f046856f348056abaed94f69",
+    "gen W(5,6) --format pretty": "0499848dbdfe39817c8340d45a82e6ea793331bda1085f3a23a2915fb101cfcd",
+    "gen W(7,8) --format pretty": "9b74d66ab087279a20a9bf0c0263e83ff848cfa55e29287b6d07f8ed4c5fba13",
+    "gen A(0) --format pretty": "66c1de72090ad48ec7f75e88233f25db1d5f11f90b88fe63bafa742fd3354d04",
+    "gen A(2) --format pretty": "3675f5298525d8f28faecd22da6ea290c386d9c9ec39831d58c8e303292b9da5",
+    "gen B(3) --format pretty": "de95dbd4106748e491d36f4bccf23ce40a8e20c50affcada0abeba9e44eb19cb",
+    "gen C(1) --format pretty": "5c7f2db0af374e690f60fc7311f4b427399b687abe3413c75f47dfe29fafd50c",
+    "gen D(4) --format pretty": "d146204259b27a10e5002a499668c04c2782d34f585c6cb955e32682c6f9e56d",
+    "synth --m 2 --c 57 --format pretty": "0bf613639b495ec842ad365d3a6ba7532af2dd05f4c8062168314818ff7cac75",
+    "synth --m 3 --c 105 --format pretty": "ac672698455f6b0171ccbf3fc9bf42c5fbb0db0c4b6d0e2bbdd91f9932654b38",
+    "claims": "e7b8d785d6a1153ffbb4025437e2e0941ad10ff132c77c843398f2ad7a3b74fd",
 }
 
 

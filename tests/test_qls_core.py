@@ -29,7 +29,7 @@ from qlatin.qls_core import (
     _grid_from_canonical,
 )
 from qlatin.synthesis import execute_plan, execute_plans, plan_for, synth, valid_cardinalities
-from qlatin.vectors import QVector, basis_vector, canonicalize, vec_neg, vec_scale
+from qlatin.vectors import QVector, basis_vector, canonicalize, vec_scale
 
 from test_algebraic import _over_the_cap_pair
 
@@ -75,7 +75,7 @@ class TestVerification:
     def test_orthogonal_but_sign_flipped_passes(self):
         g = QLSGrid(
             [
-                [basis_vector(2, 0), vec_neg(basis_vector(2, 1))],
+                [basis_vector(2, 0), vec_scale(basis_vector(2, 1), -1)],
                 [basis_vector(2, 1), basis_vector(2, 0)],
             ]
         )
@@ -130,7 +130,7 @@ class TestCounting:
 
     def test_canonical_set_merges_phases(self):
         v = QVector([F(3, 5), F(4, 5)])
-        assert len(canonical_set([v, vec_neg(v)])) == 1
+        assert len(canonical_set([v, vec_scale(v, -1)])) == 1
 
     # leading coefficients whose sign needs exact intervals, and plain ones
     _pool = (
@@ -164,7 +164,7 @@ class TestCounting:
     @settings(deadline=None)
     def test_canonical_set_matches_canonicalize(self, picks, stride):
         cells = [QVector([self._coefficient(d[i]) if i in d else 0 for i in range(4)]) for d in picks]
-        cells += [vec_neg(v) for v in cells[::stride]]
+        cells += [vec_scale(v, -1) for v in cells[::stride]]
         got = canonical_set(cells)
         assert got == frozenset(canonicalize(v) for v in cells)
         assert all(v.entries[0][1].sign() > 0 for v in got if v.entries)

@@ -18,7 +18,6 @@ from qlatin.vectors import (
     phase_equal_by_inner,
     tensor,
     vec_add,
-    vec_neg,
     vec_scale,
     vector_from_json_dict,
     vector_to_json_dict,
@@ -83,7 +82,7 @@ class TestArithmetic:
 
     def test_scale_and_neg(self):
         v = QVector([1, -2, 0])
-        assert vec_neg(v) == QVector([-1, 2, 0])
+        assert vec_scale(v, -1) == QVector([-1, 2, 0])
         assert vec_scale(v, F(1, 2)) == QVector([F(1, 2), -1, 0])
 
 
@@ -93,11 +92,11 @@ class TestPhase:
         c = canonicalize(v)
         assert c == QVector([0, F(3, 5), F(-4, 5)])
         assert canonicalize(c) == c
-        assert canonicalize(vec_neg(v)) == c
+        assert canonicalize(vec_scale(v, -1)) == c
 
     def test_phase_equal(self):
         v = QVector([F(3, 5), F(4, 5)])
-        assert phase_equal(v, vec_neg(v))
+        assert phase_equal(v, vec_scale(v, -1))
         assert not phase_equal(v, QVector([F(4, 5), F(3, 5)]))
         with pytest.raises(ValueError):
             phase_equal(v, basis_vector(4, 0))
@@ -110,7 +109,7 @@ class TestPhase:
             return
         u = vec_scale(QVector(ints), sqrt_rational(F(1, norm_sq)))
         assert inner_product(u, u) == ONE
-        assert phase_equal_by_inner(u, vec_neg(u))
+        assert phase_equal_by_inner(u, vec_scale(u, -1))
         e = basis_vector(u.dim, 0)
         assert phase_equal(u, e) == phase_equal_by_inner(u, e)
 
@@ -118,7 +117,7 @@ class TestPhase:
         u = QVector([F(3, 5), F(4, 5)])
         w = QVector([F(4, 5), F(3, 5)])
         assert not phase_equal_by_inner(u, w)
-        assert phase_equal_by_inner(u, vec_neg(u))
+        assert phase_equal_by_inner(u, vec_scale(u, -1))
 
 
 class TestSerialization:
@@ -170,13 +169,13 @@ class TestSparseLayout:
     def test_entries_ascending_and_nonzero(self, a, b):
         u, w = _scaled(a), _scaled(b)
         for v in (
-            u, tensor(u, w), vec_neg(u), vec_scale(u, 0), canonicalize(u),
+            u, tensor(u, w), vec_scale(u, -1), vec_scale(u, 0), canonicalize(u),
             vector_from_json_dict(vector_to_json_dict(u)),
         ):
             self._assert_canonical(v)
         if len(a) == len(b):
             self._assert_canonical(vec_add(u, w))
-            self._assert_canonical(vec_add(u, vec_neg(u)))
+            self._assert_canonical(vec_add(u, vec_scale(u, -1)))
 
     @given(small, small)
     @settings(deadline=None)
@@ -201,7 +200,7 @@ class TestSparseLayout:
         assert z.dense() == (ZERO, ZERO, ZERO)
         assert vector_to_json_dict(z) == {"dim": 3, "entries": [[], [], []]}
         assert vector_from_json_dict(vector_to_json_dict(z)) == z
-        assert canonicalize(z) == z and vec_neg(z) == z
+        assert canonicalize(z) == z and vec_scale(z, -1) == z
         assert inner_product(z, basis_vector(3, 1)).is_zero
         assert tensor(z, ket("1")) == QVector([0] * 6)
 
@@ -226,16 +225,31 @@ class TestProductMemo:
     @given(st.integers(1, 16), picks, picks)
     @settings(deadline=None, max_examples=300)
     def test_matches_a_fresh_sum(self, dim, a, b):
-        from fraction_reference import _mul_into
+        from fraction_reference import _mul_into, terms
 
         u, v = _sparse(dim, a), _sparse(dim, b)
         acc = {}
         right = dict(v.entries)
         for i, e in u.entries:
             if i in right:
-                _mul_into(acc, e.terms, right[i].terms)
-        assert inner_product(u, v).terms == acc
+                _mul_into(acc, terms(e), terms(right[i]))
+        assert terms(inner_product(u, v)) == acc
         assert inner_product(u, v) == inner_product(v, u)
+
+    @pytest.mark.parametrize(
+        "u,v",
+        [
+            (vec_scale(ket("01"), 0), ket("01")),
+            (ket("01"), ket("10")),
+            (QVector([1, 0, 1, 0]), QVector([0, 1, 0, 1])),
+        ],
+        ids=["empty-support", "disjoint-ranges", "interleaved-supports"],
+    )
+    def test_no_shared_index_is_zero_and_no_memo_entry(self, u, v):
+        # the merge finds no shared index and returns before the memo
+        before = len(vectors._PRODUCT_MEMO)
+        assert inner_product(u, v) is ZERO and inner_product(v, u) is ZERO
+        assert len(vectors._PRODUCT_MEMO) == before
 
     def test_never_exceeds_its_cap(self):
         cap = vectors.PRODUCT_MEMO_MAX
@@ -271,14 +285,14 @@ class TestInnerProductReference:
     @given(_line_pair())
     @settings(deadline=None)
     def test_matches_the_reference_sum(self, pair):
-        from fraction_reference import _mul_into
+        from fraction_reference import _mul_into, terms
 
         tu, tv = pair
         acc = {}
         for a, b in zip(tu, tv):
             _mul_into(acc, a, b)
         got = inner_product(QVector(map(RadExt, tu)), QVector(map(RadExt, tv)))
-        assert got.terms == acc
+        assert terms(got) == acc
         assert got.den >= 1 and math.gcd(got.den, *got.num.values()) == 1
 
 
