@@ -51,13 +51,16 @@ reference counting frees them, and the collector's passes over millions of
 young containers would cost more than the parse. Every path reads a cell as
 its `support` and `coefs` tuples: the holder index walks `support`, the
 writer zips the two, both readers fill them directly, and the oracle's
-bucket key is `support` with the squared `coefs`. A unit check is an
-equal-support memo lookup on `(v.coefs, v.coefs)`. Equal coefficients are
-one object however they were built or read (`RadExt` is hash-consed), so
-the inner-product memo and the batch tables find them by address and
-identity, and a cell is a unit vector when its square norm `is ONE`; the
-streamed reader's text-keyed cache only saves decoding a coordinate text
-twice.
+bucket key is `support` with the squared `coefs`. A cell's unit test and
+its squared `coefs` depend on the `coefs` tuple alone, whatever the
+support, and a synthesized grid shifts each block cell's tuple onto one
+support per diagonal, so each is worked out once per distinct tuple, in
+a table local to the call. Equal coefficients are one object however
+they were built or read (`RadExt` is hash-consed), so the inner-product
+memo and the batch tables find them by address and identity, equal
+tuples compare with no Python-level call, and a cell is a unit vector
+when its square norm `is ONE`; the streamed reader's text-keyed cache
+only saves decoding a coordinate text twice.
 """
 
 from __future__ import annotations
@@ -119,6 +122,18 @@ class QLSGrid(object):
         self._verify_report = None
         self._card_report = None
 
+    @classmethod
+    def _raw(cls, rows: tuple[tuple[QVector, ...], ...], provenance: str) -> "QLSGrid":
+        # internal fast path: rows is a nonempty n-tuple of n-tuples of
+        # dimension-n cells, as a caller assembling checked blocks guarantees
+        self = object.__new__(cls)
+        self.order = len(rows)
+        self.cells = rows
+        self.provenance = provenance
+        self._verify_report = None
+        self._card_report = None
+        return self
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QLSGrid):
             return NotImplemented
@@ -163,7 +178,11 @@ def _least_bad_pair(cells: Sequence[QVector]) -> tuple[int, int] | tuple[()]:
     holders: dict[int, list[int]] = {}
     for p, v in enumerate(cells):
         for i in v.support:
-            holders.setdefault(i, []).append(p)
+            h = holders.get(i)
+            if h is None:
+                holders[i] = [p]
+            else:
+                h.append(p)
     # each pair that shares a coordinate, once; equal holder lists (all of
     # them in a dense line) give equal pairs, so each is expanded once
     groups = {tuple(h) for h in holders.values() if len(h) > 1}
@@ -196,10 +215,16 @@ def _check_lines(kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationR
 
 
 def _check_units(rows: Sequence[Sequence[QVector]]) -> VerificationReport | None:
+    # <v,v> is the sum of the squares of v.coefs, whatever the support, so
+    # each distinct coefficient tuple is tested once; a failing tuple never
+    # enters `units`, so the cell reported is the first a per-cell scan fails
+    units: set[tuple[RadExt, ...]] = set()
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
-            if inner_product(v, v) is not ONE:
-                return _unit_failure(r, c)
+            if v.coefs not in units:
+                if inner_product(v, v) is not ONE:
+                    return _unit_failure(r, c)
+                units.add(v.coefs)
     return None
 
 
@@ -276,7 +301,7 @@ class _GridWork(object):
     def _lines(self, kind: str, lines: Iterable[Sequence[QVector]]) -> VerificationReport | None:
         verdicts, classes, form = self.lines, self.row_classes, self._form
         for index, cells in enumerate(lines):
-            key = tuple(map(id, cells))
+            key = tuple([id(v) for v in cells])
             bad = verdicts.get(key)
             if bad is None:
                 bad = verdicts[key] = _least_bad_pair(cells)
@@ -289,7 +314,7 @@ class _GridWork(object):
     def _classes(self, g: QLSGrid) -> frozenset[QVector]:
         # a row first met as a column, or verified elsewhere, has no entry
         known, form = self.row_classes, self._form
-        rows = [known.get(tuple(map(id, row))) or frozenset(map(form, row)) for row in g.cells]
+        rows = [known.get(tuple([id(v) for v in row])) or frozenset(map(form, row)) for row in g.cells]
         return frozenset().union(*rows)
 
     def verify(self, g: QLSGrid) -> VerificationReport:
@@ -336,14 +361,25 @@ def cardinality_oracle(g: QLSGrid) -> int:
     support and the same squared coefficients, cells are bucketed on those,
     and each cell is compared only with the first member of every class
     found so far in its bucket. Each square, of a coefficient or an inner
-    product, is the one stored on the value.
+    product, is the one stored on the value, and the squares of a `coefs`
+    tuple are gathered once per distinct tuple.
     """
     buckets: dict[tuple, list[QVector]] = {}
+    squares: dict[tuple[RadExt, ...], tuple[RadExt, ...]] = {}
     for row in g.cells:
         for v in row:
-            key = (v.support, tuple([_square_of(e) for e in v.coefs]))
-            firsts = buckets.setdefault(key, [])
-            if not any(_square_of(inner_product(v, w)) is ONE for w in firsts):
+            sq = squares.get(v.coefs)
+            if sq is None:
+                sq = squares[v.coefs] = tuple([_square_of(e) for e in v.coefs])
+            key = (v.support, sq)
+            firsts = buckets.get(key)
+            if firsts is None:
+                buckets[key] = [v]
+                continue
+            for w in firsts:
+                if _square_of(inner_product(v, w)) is ONE:
+                    break
+            else:
                 firsts.append(v)
     return sum(len(firsts) for firsts in buckets.values())
 

@@ -254,7 +254,7 @@ def _low_slot_names(x0: int, x1: int, bits: tuple[int, ...]) -> tuple[str, ...]:
         slot1 = w_block(1)
     else:
         slot1 = f"H({x1})"
-    tail = tuple(w_block(i) if b else slot0 for i, b in enumerate(bits, 2))
+    tail = tuple([w_block(i) if b else slot0 for i, b in enumerate(bits, 2)])
     return (slot0, slot1) + tail
 
 
@@ -267,7 +267,7 @@ def _plan_low(m: int, c: int) -> SynthPlan:
         m=m,
         target_c=c,
         regime="low",
-        diagonals=tuple(_low_slot_names(*x) for x in xs),
+        diagonals=tuple([_low_slot_names(*x) for x in xs]),
         witness={
             "x0": [x[0] for x in xs],
             "x1": [x[1] for x in xs],
@@ -280,8 +280,8 @@ def _plan_low(m: int, c: int) -> SynthPlan:
 
 def _plan_high(m: int, c: int) -> SynthPlan:
     x1s = _pick_per_diagonal(_HIGH_CHOICES, m, c - 16 * m * (m - 1))
-    tail = tuple(w_block(i) for i in range(2, m))
-    diagonals = tuple(("W0", HIGH_SLOT1[x1]) + tail for x1 in x1s)
+    tail = tuple([w_block(i) for i in range(2, m)])
+    diagonals = tuple([("W0", HIGH_SLOT1[x1]) + tail for x1 in x1s])
     total = 16 * m * (m - 1) + sum(x1s)
     if total != c:
         raise RuntimeError(f"witness sum {total} does not match target {c}")
@@ -336,7 +336,9 @@ def _assemble(plan: SynthPlan, shifted: dict) -> QLSGrid:
             bj = (i + j) % m
             for k, row in enumerate(rows):
                 cells[i * 4 + k][bj * 4 : bj * 4 + 4] = row
-    return QLSGrid(cells, provenance=f"synth(m={m},c={plan.target_c},{plan.regime})")
+    # every cell is a shift of a checked order-4 block cell into dimension 4m
+    rows = tuple([tuple(row) for row in cells])
+    return QLSGrid._raw(rows, f"synth(m={m},c={plan.target_c},{plan.regime})")
 
 
 def _checked(plan: SynthPlan, grid: QLSGrid, verify, count) -> QLSGrid:

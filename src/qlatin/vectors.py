@@ -209,7 +209,7 @@ def canonicalize(v: QVector) -> QVector:
     """The phase-class representative: first nonzero coordinate made positive.
     The sign and negations are the ones stored on each coefficient."""
     if v.coefs and _sign_of(v.coefs[0]) < 0:
-        return QVector._raw(v.dim, v.support, tuple(map(_neg_of, v.coefs)))
+        return QVector._raw(v.dim, v.support, tuple([_neg_of(e) for e in v.coefs]))
     return v
 
 

@@ -40,7 +40,7 @@ from qlatin.synthesis import (
     synth,
     valid_cardinalities,
 )
-from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, vec_scale
+from qlatin.vectors import QVector, basis_vector, phase_equal_by_inner, tensor, vec_scale
 
 SWEEP_M = (2, 3, 4, 5, 6, 7, 8)
 # criterion 8 recounts every swept grid up to this order with the oracle;
@@ -198,6 +198,51 @@ def test_bucketed_oracle_matches_pairwise_reference():
         assert verify_qls(g).ok, g
         assert cardinality_oracle(g) == _pairwise_oracle(g) == cardinality(g).cardinality, g
     assert cardinality_oracle(shared_bucket[0]) == 2
+
+
+def _shifted_copies(names):
+    """The order-4m grid with block names[j] shifted onto diagonal j, laid
+    out as synthesis lays out a plan: row block i, column block (i + j) mod m
+    holds |j> (x) the block. A shift keeps its block cell's coefficient
+    tuple, so one tuple object sits on up to m supports."""
+    m = len(names)
+    cells = [[None] * (4 * m) for _ in range(4 * m)]
+    for j, name in enumerate(names):
+        rows = [[tensor(basis_vector(m, j), v) for v in row] for row in realize_generator(name).cells]
+        for i in range(m):
+            b = (i + j) % m
+            for k, row in enumerate(rows):
+                cells[4 * i + k][4 * b:4 * b + 4] = row
+    return QLSGrid(cells)
+
+
+@pytest.mark.parametrize("names", [("H(1)", "H(1)"), ("W(5,6)", "H(2)", "W(5,6)"), ("W0", "Wk(1)", "W0")])
+def test_bucketed_oracle_matches_pairwise_reference_on_shifted_copies(names):
+    # the oracle squares each distinct tuple once; a tuple shared across
+    # supports, and its negation in the flipped rows, still lands each cell
+    # in the bucket of its own support
+    g = _shifted_copies(names)
+    supports = {}
+    for row in g.cells:
+        for v in row:
+            supports.setdefault(id(v.coefs), set()).add(v.support)
+    assert max(map(len, supports.values())) > 1
+    flipped = QLSGrid([[vec_scale(v, -1) if r % 3 == 0 else v for v in row] for r, row in enumerate(g.cells)])
+    for grid in (g, flipped):
+        assert verify_qls(grid).ok
+        assert cardinality_oracle(grid) == _pairwise_oracle(grid) == cardinality(grid).cardinality
+
+
+def test_bucketed_oracle_squares_each_tuple_on_its_own():
+    # x and y share their leading coefficient but not their squares; y and
+    # -y are one class, so they must land in one bucket whichever tuple was
+    # squared before them
+    h = sqrt_rational(Fraction(1, 2))
+    x, y = QVector([h, h, 0, 0]), QVector([h, Fraction(1, 2), Fraction(1, 2), 0])
+    basis = [basis_vector(4, k) for k in range(4)]
+    cells = [x, y, vec_scale(y, -1), x] + basis * 3
+    g = QLSGrid([cells[r * 4:r * 4 + 4] for r in range(4)])
+    assert cardinality_oracle(g) == _pairwise_oracle(g) == len(canonical_set(cells)) == 6
 
 
 def _unit_pool():

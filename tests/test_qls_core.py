@@ -29,7 +29,7 @@ from qlatin.qls_core import (
     _grid_from_canonical,
 )
 from qlatin.synthesis import execute_plan, execute_plans, plan_for, synth, valid_cardinalities
-from qlatin.vectors import QVector, basis_vector, canonicalize, vec_scale
+from qlatin.vectors import QVector, basis_vector, canonicalize, tensor, vec_scale
 
 from test_algebraic import _over_the_cap_pair
 
@@ -179,22 +179,22 @@ class TestCounting:
 # memo finds them by identity without running RadExt.__eq__.
 WORK_CEILINGS = {
     (2, 40): {
-        "verify": {"inner_product": 140, "eq": 0},
+        "verify": {"inner_product": 95, "eq": 0},
         "count": {"sign": 19, "neg": 18, "eq": 0},
         "oracle": {"mul": 24, "inner_product": 32, "eq": 0},
     },
     (4, 200): {
-        "verify": {"inner_product": 668, "eq": 0},
+        "verify": {"inner_product": 451, "eq": 0},
         "count": {"sign": 39, "neg": 38, "eq": 0},
         "oracle": {"mul": 46, "inner_product": 108, "eq": 0},
     },
     (8, 500): {
-        "verify": {"inner_product": 2072, "eq": 0},
+        "verify": {"inner_product": 1139, "eq": 0},
         "count": {"sign": 90, "neg": 89, "eq": 0},
         "oracle": {"mul": 107, "inner_product": 648, "eq": 0},
     },
     (16, 2000): {
-        "verify": {"inner_product": 8444, "eq": 0},
+        "verify": {"inner_product": 4533, "eq": 0},
         "count": {"sign": 184, "neg": 183, "eq": 0},
         "oracle": {"mul": 216, "inner_product": 2600, "eq": 0},
     },
@@ -286,6 +286,83 @@ def test_batch_counts_a_grid_it_did_not_verify():
     copy = QLSGrid(g.cells)
     assert verify_qls(copy).ok
     assert qls_core._GridWork().count(copy) == cardinality(g)
+
+
+def _two_shifts(u, w):
+    """An order-4 grid of the order-2 square [[u, w], [w, u]] shifted onto
+    two diagonals: each cell |j> (x) u or |j> (x) w keeps u's or w's
+    coefficient tuple, so each tuple sits on two supports."""
+    top = [tensor(basis_vector(2, j), v) for j in (0, 1) for v in (u, w)]
+    low = [tensor(basis_vector(2, j), v) for j in (0, 1) for v in (w, u)]
+    return QLSGrid([top, low, top[2:] + top[:2], low[2:] + low[:2]])
+
+
+class TestPerTupleFacts:
+    """A cell's unit test and its oracle squares depend on its coefficient
+    tuple alone, so they are worked out once per distinct tuple."""
+
+    def test_a_unit_tuple_on_different_supports_passes(self, count_work):
+        h = sqrt_rational(F(1, 2))
+        g = _two_shifts(QVector([h, h]), QVector([h, -h]))
+        assert len({v.coefs for row in g.cells for v in row}) == 2
+        assert count_work(qls_core._check_units, g.cells) == {"inner_product": 2}
+        assert verify_qls(g).ok
+        assert cardinality(g).cardinality == cardinality_oracle(g) == 4
+
+    @pytest.mark.parametrize(
+        "spots, first",
+        [
+            # (r, c) of tuple a's cells, then of tuple b's
+            (([(0, 1), (2, 3)], [(1, 0)]), (0, 1)),
+            (([(1, 2), (3, 0)], [(2, 1)]), (1, 2)),
+            (([(3, 3), (0, 2)], [(0, 3)]), (0, 2)),
+        ],
+    )
+    def test_a_shared_non_unit_tuple_reports_the_earlier_cell(self, spots, first):
+        # two non-unit tuples, each object shared by cells on different
+        # supports: the cell named is the first one a per-cell scan fails
+        g = cyclic_grid(4)
+        cells = [list(row) for row in g.cells]
+        for tup, places in zip(((RadExt({1: 2}),), (RadExt({1: F(1, 2)}),)), spots):
+            for r, c in places:
+                cells[r][c] = QVector._raw(4, g.cells[r][c].support, tup)
+        report = verify_qls(QLSGrid(cells))
+        assert report.location == ("unit", *first)
+        assert report.message == "cell (%d,%d) is not a unit vector" % first
+        assert verify_row_qlr(RowQLR(cells)) == report
+
+    def test_a_json_round_trip_keeps_every_report(self):
+        # the reader builds one tuple per cell, so equal tuples arrive as
+        # distinct objects; the unit set and the oracle squares compare them
+        # by value
+        g = synth(3, 70)[1]
+        cells = [list(row) for row in g.cells]
+        bad = vec_scale(cells[5][7], 2)
+        cells[5][7], cells[9][1] = bad, QVector._raw(12, cells[9][1].support, bad.coefs)
+        for grid in (g, QLSGrid(cells)):
+            again = grid_from_json(grid_to_json(grid))
+            tuples = [v.coefs for row in again.cells for v in row]
+            assert len(set(map(id, tuples))) == len(tuples) > len(set(tuples))
+            assert verify_qls(again) == verify_qls(QLSGrid(grid.cells))
+        assert verify_qls(again).location == ("unit", 5, 7)
+        again = grid_from_json(grid_to_json(g))
+        assert cardinality(again) == cardinality(g)
+        assert cardinality_oracle(again) == cardinality_oracle(g) == 70
+
+    def test_the_private_constructor_matches_the_public_one(self):
+        # _assemble builds each grid through QLSGrid._raw, which skips the
+        # shape checks of checked blocks
+        for m, c in ((2, 40), (3, 105), (4, 200)):
+            g = synth(m, c)[1]
+            public = QLSGrid(g.cells, provenance=g.provenance)
+            raw = QLSGrid._raw(public.cells, public.provenance)
+            assert type(g.cells) is tuple and all(type(row) is tuple for row in g.cells)
+            for grid in (g, raw):
+                assert grid == public and hash(grid) == hash(public)
+                assert (grid.order, grid.provenance) == (public.order, public.provenance)
+                assert verify_qls(grid) == verify_qls(public)
+                assert cardinality(grid) == cardinality(public)
+                assert cardinality(grid).classes == cardinality(public).classes
 
 
 class TestSerialization:
